@@ -56,19 +56,20 @@ int main() {
   const pim::hw::PimEngine engine(platform, options);
   pim::align::BatchResult hw_results;
   const auto report = engine.run(batch, hw_results);
+  const pim::align::EngineStats& outcomes = hw_results.stats();
 
   TextTable out({"metric", "value"});
-  out.add_row({"reads total", std::to_string(report.stats.reads_total)});
-  out.add_row({"stage-1 exact", std::to_string(report.stats.reads_exact)});
-  out.add_row({"stage-2 inexact", std::to_string(report.stats.reads_inexact)});
-  out.add_row({"unaligned", std::to_string(report.stats.reads_unaligned)});
+  out.add_row({"reads total", std::to_string(outcomes.reads_total)});
+  out.add_row({"stage-1 exact", std::to_string(outcomes.reads_exact)});
+  out.add_row({"stage-2 inexact", std::to_string(outcomes.reads_inexact)});
+  out.add_row({"unaligned", std::to_string(outcomes.reads_unaligned)});
   out.add_row({"exact fraction",
-               TextTable::num(report.stats.exact_fraction() * 100.0) + " %"});
+               TextTable::num(outcomes.exact_fraction() * 100.0) + " %"});
   out.add_row({"LFM calls", std::to_string(report.hardware.lfm_calls)});
   out.add_row(
       {"LFM calls / read",
        TextTable::num(static_cast<double>(report.hardware.lfm_calls) /
-                      static_cast<double>(report.stats.reads_total))});
+                      static_cast<double>(outcomes.reads_total))});
   out.add_row({"triple senses",
                std::to_string(report.hardware.ops.triple_senses)});
   out.add_row({"row writes", std::to_string(report.hardware.ops.writes)});
@@ -78,7 +79,7 @@ int main() {
                TextTable::num(report.energy_pj * 1e-6)});
   out.add_row({"energy / read (nJ)",
                TextTable::num(report.energy_pj * 1e-3 /
-                              static_cast<double>(report.stats.reads_total))});
+                              static_cast<double>(outcomes.reads_total))});
   std::printf("%s", out.render().c_str());
 
   // Ground-truth origin recovery, via the software engine over the same

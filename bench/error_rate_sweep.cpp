@@ -7,7 +7,7 @@
 // grow — quantifying "handles mismatches to reduce excessive backtracking".
 #include <cstdio>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/align/inexact_search.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
@@ -37,31 +37,32 @@ int main() {
 
     pim::align::AlignerOptions options;
     options.inexact.max_diffs = 2;
-    const pim::align::Aligner aligner(fm, options);
+    const pim::align::SoftwareEngine engine(fm, options);
+    pim::align::ReadBatchBuilder builder;
+    for (const auto& read : set.reads) builder.add(read.bases);
+    const pim::align::ReadBatch batch = builder.build();
+    pim::align::BatchResult results;
+    engine.align_batch(batch, results);
 
-    std::uint64_t exact = 0, inexact = 0, unaligned = 0;
     std::uint64_t states_pruned = 0, states_raw = 0, inexact_runs = 0;
-    for (const auto& read : set.reads) {
-      const auto result = aligner.align(read.bases);
-      switch (result.stage) {
-        case pim::align::AlignmentStage::kExact: ++exact; break;
-        case pim::align::AlignmentStage::kInexact: ++inexact; break;
-        case pim::align::AlignmentStage::kUnaligned: ++unaligned; break;
-      }
-      if (result.stage != pim::align::AlignmentStage::kExact &&
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      if (results.stage(i) != pim::align::AlignmentStage::kExact &&
           inexact_runs < 40) {
         // Sample the backtracking cost with and without the D-array.
+        const auto& bases = set.reads[i].bases;
         pim::align::InexactOptions with = options.inexact;
         pim::align::InexactOptions without = options.inexact;
         without.use_lower_bound_pruning = false;
         states_pruned +=
-            pim::align::inexact_search(fm, read.bases, with).states_explored;
+            pim::align::inexact_search(fm, bases, with).states_explored;
         states_raw +=
-            pim::align::inexact_search(fm, read.bases, without)
-                .states_explored;
+            pim::align::inexact_search(fm, bases, without).states_explored;
         ++inexact_runs;
       }
     }
+    const std::uint64_t exact = results.stats().reads_exact;
+    const std::uint64_t inexact = results.stats().reads_inexact;
+    const std::uint64_t unaligned = results.stats().reads_unaligned;
     const double n = static_cast<double>(set.reads.size());
     out.add_row(
         {TextTable::num(rate * 100.0) + " %",

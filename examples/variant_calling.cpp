@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/rng.h"
@@ -58,25 +58,26 @@ int main() {
   align::AlignerOptions options;
   options.inexact.max_diffs = 2;
   options.max_hits = 4;
-  const align::Aligner aligner(fm, options);
+  const align::SoftwareEngine engine(fm, options);
+  align::ReadBatchBuilder builder;
+  for (const auto& read : set.reads) builder.add(read.bases);
+  const align::ReadBatch batch = builder.build();
+  align::BatchResult results;
+  engine.align_batch(batch, results);
 
   varcall::Pileup pileup(reference.size());
-  align::AlignerStats stats;
-  for (const auto& read : set.reads) {
-    const auto result = aligner.align(read.bases);
-    ++stats.reads_total;
-    if (!result.aligned()) {
-      ++stats.reads_unaligned;
-      continue;
-    }
-    const auto best = *result.best();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto best = results.best(i);
+    if (!best) continue;
     varcall::AlignedRead aligned;
-    aligned.position = best.position;
-    aligned.bases = best.strand == align::Strand::kForward
-                        ? read.bases
-                        : genome::reverse_complement(read.bases);
+    aligned.position = best->position;
+    const auto& bases = set.reads[i].bases;
+    aligned.bases = best->strand == align::Strand::kForward
+                        ? bases
+                        : genome::reverse_complement(bases);
     pileup.add(aligned);
   }
+  const align::EngineStats& stats = results.stats();
   std::printf("aligned %llu/%llu reads; pileup mean depth %.1fx\n",
               static_cast<unsigned long long>(stats.reads_total -
                                               stats.reads_unaligned),

@@ -1,21 +1,22 @@
 // Unified batch alignment engine (S37).
 //
 // One interface — align_batch(const ReadBatch&, BatchResult&) — across every
-// backend the repo grew one-off drivers for: the two-stage software FM
-// pipeline (SoftwareEngine), the simulated SOT-MRAM platform
-// (pim::hw::PimEngine, defined in src/pim to respect library layering), and
-// seed-and-extend long-read alignment (SeedExtendEngine). Front-ends
-// (parallel scheduler, MultiAligner, PairedAligner, SamWriter, examples,
-// benches) program against AlignmentEngine, so swapping the software path
-// for the PIM model — or a future sharded/async backend — is a one-line
-// change, and the software/PIM bit-identical-results invariant is asserted
-// at exactly one seam (tests/test_engine.cpp).
+// backend: the two-stage software FM pipeline (SoftwareEngine), the
+// simulated SOT-MRAM platform (pim::hw::PimEngine, defined in src/pim to
+// respect library layering), and seed-and-extend long-read alignment
+// (SeedExtendEngine). It is the only way to align: the front-ends — the
+// chunked parallel scheduler, ShardedEngine, StreamingPipeline, the serving
+// layer, PairedAligner, MultiAligner's coordinate pass, SamWriter, examples
+// and benches — all program against AlignmentEngine, so swapping the
+// software path for the PIM model is a one-line change. SoftwareEngine and
+// PimEngine share one two-stage core (two_stage_core.h), and the
+// software/PIM bit-identical-results invariant is asserted at this seam
+// (tests/test_engine.cpp).
 //
 // BatchResult is arena-backed like ReadBatch: all hits of a batch live in
 // one contiguous vector with per-read extents, so the engine path performs
-// O(1) heap allocations per batch where the legacy vector-of-vectors path
-// performed O(reads). EngineStats carries the per-stage counters that the
-// legacy front-ends (paired, multi) used to silently drop.
+// O(1) heap allocations per batch. EngineStats carries the per-stage
+// counters of every run.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +27,9 @@
 #include <string_view>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/read_batch.h"
 #include "src/align/seed_extend.h"
+#include "src/align/types.h"
 #include "src/genome/packed_sequence.h"
 #include "src/index/fm_index.h"
 
@@ -66,13 +67,11 @@ struct EngineStats {
                        : 0.0;
   }
   void merge(const EngineStats& other);
-  /// Bridge to the legacy stats struct front-ends still print.
-  AlignerStats to_aligner_stats() const;
 };
 
 /// Arena-backed batch results: stages + one contiguous hits vector with
-/// per-read extents. Materialize a legacy AlignmentResult with result(i)
-/// only at I/O boundaries (SAM writing, tests).
+/// per-read extents. Materialize an owned AlignmentResult with result(i)
+/// only where one must outlive the batch (serving, the wire protocol).
 class BatchResult {
  public:
   BatchResult() { hit_begin_.push_back(0); }
@@ -108,7 +107,7 @@ class BatchResult {
   /// Best (fewest-diff, leftmost) hit of read i, like AlignmentResult::best.
   std::optional<AlignmentHit> best(std::size_t i) const;
 
-  /// Materialize read i as the legacy per-read struct (copies the hits).
+  /// Materialize read i as an owned per-read result (copies the hits).
   AlignmentResult result(std::size_t i) const;
   std::vector<AlignmentResult> to_results() const;
 
@@ -180,30 +179,6 @@ class AlignmentEngine {
                                           const ChunkSink& sink,
                                           bool best_hit_only = false) const;
 };
-
-namespace detail {
-
-/// Reusable per-worker buffers for the two-stage pipeline: the unpacked
-/// read, its reverse complement, the read's hit set, and the SA-locate
-/// output. One set per worker replaces four heap allocations per read.
-struct TwoStageScratch {
-  std::vector<genome::Base> read;
-  std::vector<genome::Base> rc;
-  std::vector<AlignmentHit> hits;
-  std::vector<std::uint64_t> positions;
-};
-
-/// The canonical two-stage pipeline (stage one exact, stage two inexact,
-/// both strands), shared verbatim by Aligner::align and SoftwareEngine so
-/// the per-read adapter and the batch engine are bit-identical by
-/// construction. On return scratch.hits holds the read's sorted hits.
-/// `stats` may be null (the legacy adapter path).
-AlignmentStage align_two_stage(const index::FmIndex& index,
-                               const AlignerOptions& options,
-                               const std::vector<genome::Base>& read,
-                               TwoStageScratch& scratch, EngineStats* stats);
-
-}  // namespace detail
 
 /// The two-stage FM pipeline (Algorithms 1 and 2) as an engine. Stateless
 /// between calls and const over an immutable index, hence thread-safe.

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "src/align/search_core.h"
+#include "src/align/two_stage_core.h"
 
 namespace pim::align {
 
@@ -34,20 +34,11 @@ InexactResult inexact_search(const index::FmIndex& index,
 std::vector<std::pair<std::uint64_t, std::uint32_t>> inexact_locate(
     const index::FmIndex& index, const std::vector<genome::Base>& read,
     const InexactOptions& options) {
-  const InexactResult result = inexact_search(index, read, options);
-  std::map<std::uint64_t, std::uint32_t> by_position;
-  for (const auto& hit : result.hits) {
-    for (std::uint64_t row = hit.interval.low; row < hit.interval.high; ++row) {
-      const std::uint64_t pos = index.locate(static_cast<std::size_t>(row));
-      const auto it = by_position.find(pos);
-      if (it == by_position.end()) {
-        by_position.emplace(pos, hit.diffs);
-      } else {
-        it->second = std::min(it->second, hit.diffs);
-      }
-    }
-  }
-  return {by_position.begin(), by_position.end()};
+  std::vector<std::uint64_t> positions;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> located;
+  detail::inexact_locate_into(FmSearchBackend{&index}, read, options,
+                              positions, located);
+  return located;
 }
 
 }  // namespace pim::align

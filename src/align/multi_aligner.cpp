@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "src/align/parallel_aligner.h"
-
 namespace pim::align {
 
 MultiAligner::MultiAligner(const genome::MultiReference& reference,
                            const index::FmIndex& index,
                            AlignerOptions options)
-    : reference_(&reference), aligner_(index, options) {
+    : reference_(&reference), options_(options) {
   if (index.reference_size() != reference.total_length()) {
     throw std::invalid_argument(
         "MultiAligner: index not built over this MultiReference");
@@ -25,7 +23,7 @@ MultiAlignmentResult MultiAligner::convert(
   // The matched reference span can stretch by the difference budget when
   // indels are allowed; be conservative at junctions.
   const std::uint64_t span =
-      read_length + aligner_.options().inexact.max_diffs;
+      read_length + options_.inexact.max_diffs;
 
   for (const auto& hit : hits) {
     // Clamp to the concatenation end: a hit whose worst-case span would run
@@ -51,27 +49,16 @@ MultiAlignmentResult MultiAligner::convert(
   return result;
 }
 
-MultiAlignmentResult MultiAligner::align(
-    const std::vector<genome::Base>& read) const {
-  const AlignmentResult raw = aligner_.align(read);
-  return convert(read.size(), raw.stage,
-                 std::span<const AlignmentHit>(raw.hits));
-}
-
-std::vector<MultiAlignmentResult> MultiAligner::align_batch(
-    const ReadBatch& batch, std::size_t num_threads,
-    EngineStats* stats) const {
-  const SoftwareEngine engine(aligner_.index(), aligner_.options());
-  BatchResult raw;
-  align_batch_parallel(engine, batch, raw,
-                       ParallelOptions{.num_threads = num_threads});
-
+std::vector<MultiAlignmentResult> MultiAligner::map(
+    const ReadBatch& batch, const BatchResult& raw) const {
+  if (batch.size() != raw.size()) {
+    throw std::invalid_argument("MultiAligner::map: batch/result size differ");
+  }
   std::vector<MultiAlignmentResult> results;
-  results.reserve(batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  results.reserve(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i) {
     results.push_back(convert(batch.read_length(i), raw.stage(i), raw.hits(i)));
   }
-  if (stats != nullptr) stats->merge(raw.stats());
   return results;
 }
 

@@ -1,13 +1,14 @@
-// Chromosome-aware alignment: Aligner over a MultiReference concatenation,
-// with junction-artefact filtering and (chromosome, offset) hit coordinates.
+// Chromosome-aware mapping: a coordinate pass over any engine's output on a
+// MultiReference concatenation, with junction-artefact filtering and
+// (chromosome, offset) hit coordinates.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/read_batch.h"
+#include "src/align/types.h"
 #include "src/genome/multi_reference.h"
 #include "src/index/fm_index.h"
 
@@ -27,25 +28,22 @@ struct MultiAlignmentResult {
   bool aligned() const { return stage != AlignmentStage::kUnaligned; }
 };
 
+/// Align a batch with any engine over `index` (SoftwareEngine, PimEngine,
+/// ShardedEngine, ...), then map() the BatchResult onto chromosomes. The
+/// engine's EngineStats reflect the raw concatenation alignment; reads
+/// whose only hits are junction artefacts map to unaligned.
 class MultiAligner {
  public:
-  /// `reference` and `index` must both outlive the aligner; the index must
-  /// have been built over reference.concatenated().
+  /// `reference` must outlive the mapper; `index` must have been built over
+  /// reference.concatenated() (checked here). `options` must be the
+  /// engine's: its difference budget widens the junction check.
   MultiAligner(const genome::MultiReference& reference,
                const index::FmIndex& index, AlignerOptions options = {});
 
-  MultiAlignmentResult align(const std::vector<genome::Base>& read) const;
-
-  /// Batch front-end: runs the engine scheduler over the concatenated-index
-  /// pipeline, then converts hits to (chromosome, offset) coordinates with
-  /// junction filtering. `stats`, when given, accumulates the per-stage
-  /// engine counters (the per-read path has no way to report them).
-  /// Note: the stage counters reflect the raw concatenation alignment;
-  /// reads whose only hits are junction artefacts still report unaligned
-  /// in the returned results.
-  std::vector<MultiAlignmentResult> align_batch(
-      const ReadBatch& batch, std::size_t num_threads = 1,
-      EngineStats* stats = nullptr) const;
+  /// Convert `raw` — the engine's result for `batch` — to chromosome
+  /// coordinates, read by read.
+  std::vector<MultiAlignmentResult> map(const ReadBatch& batch,
+                                        const BatchResult& raw) const;
 
   const genome::MultiReference& reference() const { return *reference_; }
 
@@ -54,7 +52,7 @@ class MultiAligner {
                                std::span<const AlignmentHit> hits) const;
 
   const genome::MultiReference* reference_;
-  Aligner aligner_;
+  AlignerOptions options_;
 };
 
 }  // namespace pim::align

@@ -10,7 +10,7 @@ namespace pim::align {
 
 PairedAligner::PairedAligner(const index::FmIndex& index,
                              PairedOptions options)
-    : aligner_(index, options.single), options_(options) {}
+    : engine_(index, options.single), options_(options) {}
 
 std::optional<ProperPair> PairedAligner::best_proper_pair(
     const AlignmentResult& r1, const AlignmentResult& r2, std::size_t len1,
@@ -64,27 +64,16 @@ void PairedAligner::classify(PairedResult& result, std::size_t len1,
   }
 }
 
-PairedResult PairedAligner::align_pair(
-    const std::vector<genome::Base>& read1,
-    const std::vector<genome::Base>& read2) const {
-  PairedResult result;
-  result.mate1 = aligner_.align(read1);
-  result.mate2 = aligner_.align(read2);
-  classify(result, read1.size(), read2.size());
-  return result;
-}
-
 std::vector<PairedResult> PairedAligner::align_pairs(
     const ReadBatch& mates1, const ReadBatch& mates2, std::size_t num_threads,
     EngineStats* stats) const {
   if (mates1.size() != mates2.size()) {
     throw std::invalid_argument("align_pairs: mate batches differ in size");
   }
-  const SoftwareEngine engine(aligner_.index(), aligner_.options());
   BatchResult b1, b2;
-  align_batch_parallel(engine, mates1, b1,
+  align_batch_parallel(engine_, mates1, b1,
                        ParallelOptions{.num_threads = num_threads});
-  align_batch_parallel(engine, mates2, b2,
+  align_batch_parallel(engine_, mates2, b2,
                        ParallelOptions{.num_threads = num_threads});
 
   std::vector<PairedResult> results;

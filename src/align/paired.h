@@ -13,9 +13,9 @@
 #include <optional>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/read_batch.h"
+#include "src/align/types.h"
 
 namespace pim::align {
 
@@ -51,15 +51,10 @@ class PairedAligner {
  public:
   PairedAligner(const index::FmIndex& index, PairedOptions options = {});
 
-  /// `read_length` of each mate is taken from the vectors themselves.
-  PairedResult align_pair(const std::vector<genome::Base>& read1,
-                          const std::vector<genome::Base>& read2) const;
-
-  /// Batch front-end: mates1[i] pairs with mates2[i] (the batches must be
-  /// the same size). Both mate batches run through the engine scheduler,
-  /// then pairing classifies each index. `stats`, when given, accumulates
-  /// the per-stage engine counters over BOTH mates — the statistics the
-  /// per-pair path used to drop.
+  /// mates1[i] pairs with mates2[i] (the batches must be the same size).
+  /// Both mate batches run through the engine scheduler, then pairing
+  /// classifies each index. `stats`, when given, accumulates the per-stage
+  /// engine counters over BOTH mates.
   std::vector<PairedResult> align_pairs(const ReadBatch& mates1,
                                         const ReadBatch& mates2,
                                         std::size_t num_threads = 1,
@@ -74,7 +69,7 @@ class PairedAligner {
   void classify(PairedResult& result, std::size_t len1,
                 std::size_t len2) const;
 
-  Aligner aligner_;
+  SoftwareEngine engine_;
   PairedOptions options_;
 };
 

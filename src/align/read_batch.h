@@ -90,7 +90,7 @@ class ReadBatch {
 
   /// Heap bytes held by the arena + slabs (for the throughput bench's
   /// memory accounting; compare with size() vectors at ~1 B/base + malloc
-  /// headers for the legacy representation).
+  /// headers for a vector-of-vectors representation).
   std::size_t memory_bytes() const;
 
   /// Single-pass conveniences over the builder.

@@ -76,7 +76,7 @@ std::string SamWriter::cigar_for_hit(
 
 std::vector<SamRecord> SamWriter::make_records(
     const std::string& qname, const std::vector<genome::Base>& read,
-    const AlignmentResult& result,
+    AlignmentStage stage, std::span<const AlignmentHit> hits,
     const std::optional<std::string>& qualities) const {
   if (qualities && qualities->size() != read.size()) {
     throw std::invalid_argument("SamWriter: quality/read length mismatch");
@@ -84,7 +84,7 @@ std::vector<SamRecord> SamWriter::make_records(
   const std::string name = sanitize_qname(qname);
   std::vector<SamRecord> records;
 
-  if (!result.aligned()) {
+  if (stage == AlignmentStage::kUnaligned) {
     SamRecord rec;
     rec.qname = name;
     rec.flag = SamRecord::kFlagUnmapped;
@@ -95,14 +95,12 @@ std::vector<SamRecord> SamWriter::make_records(
   }
 
   // Order: the best hit first (primary), the rest secondary.
-  std::vector<AlignmentHit> ordered = result.hits;
-  const auto best = result.best();
+  std::vector<AlignmentHit> ordered(hits.begin(), hits.end());
   std::stable_sort(ordered.begin(), ordered.end(),
-                   [&](const AlignmentHit& a, const AlignmentHit& b) {
+                   [](const AlignmentHit& a, const AlignmentHit& b) {
                      if (a.diffs != b.diffs) return a.diffs < b.diffs;
                      return a.position < b.position;
                    });
-  (void)best;
 
   // SEQ is stored in reference orientation: reverse-strand hits emit the
   // reverse complement (and reversed qualities). Both oriented variants are
@@ -150,9 +148,10 @@ std::vector<SamRecord> SamWriter::make_records(
 
 void SamWriter::write_alignment(const std::string& qname,
                                 const std::vector<genome::Base>& read,
-                                const AlignmentResult& result,
+                                AlignmentStage stage,
+                                std::span<const AlignmentHit> hits,
                                 const std::optional<std::string>& qualities) {
-  for (const auto& rec : make_records(qname, read, result, qualities)) {
+  for (const auto& rec : make_records(qname, read, stage, hits, qualities)) {
     (*out_) << rec.to_line() << '\n';
     ++records_;
   }
@@ -174,8 +173,9 @@ void SamWriter::write_chunk(const BatchResultChunk& chunk) {
     if (batch.has_qualities() && !batch.qualities(i).empty()) {
       qual = std::string(batch.qualities(i));
     }
-    write_alignment(qname, scratch, chunk.result->result(i - chunk.begin),
-                    qual);
+    const std::size_t j = i - chunk.begin;
+    write_alignment(qname, scratch, chunk.result->stage(j),
+                    chunk.result->hits(j), qual);
   }
 }
 
@@ -197,16 +197,13 @@ void SamWriter::write_pair(const std::string& qname,
           const std::optional<std::string>& qual,
           const AlignmentResult& mate_result,
           const std::optional<AlignmentHit>& forced) -> SamRecord {
-    AlignmentResult narrowed;
-    if (forced) {
-      narrowed.hits = {*forced};
-    } else if (const auto best = mate_result.best()) {
-      narrowed.hits = {*best};
-    }
-    narrowed.stage = narrowed.hits.empty() ? AlignmentStage::kUnaligned
-                                           : mate_result.stage;
-    auto records = make_records(qname, read, narrowed, qual);
-    return records.front();
+    const std::optional<AlignmentHit> hit =
+        forced ? forced : mate_result.best();
+    const AlignmentStage stage =
+        hit ? mate_result.stage : AlignmentStage::kUnaligned;
+    std::span<const AlignmentHit> hits;
+    if (hit) hits = std::span<const AlignmentHit>(&*hit, 1);
+    return make_records(qname, read, stage, hits, qual).front();
   };
 
   std::optional<AlignmentHit> h1, h2;

@@ -1,6 +1,6 @@
 // SAM output — the interchange format downstream genomics pipelines expect.
 //
-// Converts AlignmentResults into SAM 1.6 records: header (@HD/@SQ/@PG),
+// Converts per-read alignments (stage + hits) into SAM 1.6 records: header (@HD/@SQ/@PG),
 // flags (reverse-strand 0x10, unmapped 0x4, secondary 0x100), 1-based
 // positions, CIGAR strings (recomputed by banded Smith-Waterman traceback
 // for hits with differences), MAPQ from hit multiplicity and difference
@@ -10,14 +10,15 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/align/aligner.h"
 #include "src/align/engine.h"
 #include "src/align/paired.h"
 #include "src/align/read_batch.h"
+#include "src/align/types.h"
 #include "src/genome/packed_sequence.h"
 
 namespace pim::align {
@@ -73,9 +74,11 @@ class SamWriter {
   /// Convert one read's alignment into records: the best hit is primary,
   /// remaining hits are secondary. Unaligned reads get an unmapped record.
   /// `qualities` (Phred+33), if given, must match the read length.
+  /// Owned results pass `r.stage, r.hits`.
   void write_alignment(const std::string& qname,
                        const std::vector<genome::Base>& read,
-                       const AlignmentResult& result,
+                       AlignmentStage stage,
+                       std::span<const AlignmentHit> hits,
                        const std::optional<std::string>& qualities = {});
 
   /// Engine-layer batch output: one write_alignment per read, pulling
@@ -106,7 +109,7 @@ class SamWriter {
   /// tests and custom sinks.
   std::vector<SamRecord> make_records(
       const std::string& qname, const std::vector<genome::Base>& read,
-      const AlignmentResult& result,
+      AlignmentStage stage, std::span<const AlignmentHit> hits,
       const std::optional<std::string>& qualities = {}) const;
 
  private:

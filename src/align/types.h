@@ -1,7 +1,10 @@
-// Shared result/option types for the exact and inexact search cores.
+// Shared result/option types: the exact and inexact search cores, and the
+// per-read outcome of the two-stage pipeline that every engine reports.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/index/fm_index.h"
@@ -44,6 +47,49 @@ struct InexactResult {
   bool found() const { return !hits.empty(); }
   std::uint32_t best_diffs() const;
   std::uint64_t total_occurrences() const;
+};
+
+enum class Strand : std::uint8_t { kForward, kReverseComplement };
+
+struct AlignmentHit {
+  std::uint64_t position = 0;  ///< Start in the reference (forward coords).
+  std::uint32_t diffs = 0;
+  Strand strand = Strand::kForward;
+};
+
+enum class AlignmentStage : std::uint8_t {
+  kUnaligned,  ///< Neither stage found a hit within the difference budget.
+  kExact,      ///< Stage one.
+  kInexact,    ///< Stage two.
+};
+
+/// One read's outcome as an owned value — what serving and the wire
+/// protocol carry per read. Batch paths keep hits in a BatchResult arena
+/// and materialize this only at such boundaries.
+struct AlignmentResult {
+  AlignmentStage stage = AlignmentStage::kUnaligned;
+  std::vector<AlignmentHit> hits;  ///< Sorted by position.
+  bool aligned() const { return stage != AlignmentStage::kUnaligned; }
+  /// The best (fewest-diff, leftmost) hit, if any.
+  std::optional<AlignmentHit> best() const;
+};
+
+/// Options of the two-stage pipeline (Section III): stage one attempts
+/// exact alignment; reads that fail go through stage two's inexact search.
+/// Reads may come from either strand, so each stage tries the read and its
+/// reverse complement, as BWA/Bowtie do.
+struct AlignerOptions {
+  InexactOptions inexact;       ///< Stage-two budget (z, edit mode, pruning).
+  bool try_reverse_complement = true;
+  /// Cap on reported hits per read (a read landing in a huge repeat family
+  /// can hit thousands of loci); 0 = unlimited.
+  std::size_t max_hits = 64;
+  /// Keep only the best (fewest-diff, leftmost) hit per read. Engines honor
+  /// this by putting their BatchResult into best-hit-only mode, shrinking
+  /// the hit arena for workloads that never inspect secondary hits. The
+  /// search itself is unchanged (stage outcomes and the primary hit are
+  /// identical to a full run); only secondary hits are dropped.
+  bool best_hit_only = false;
 };
 
 }  // namespace pim::align

@@ -1,8 +1,14 @@
 #include "src/index/index_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <array>
+#include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <limits>
@@ -509,9 +515,45 @@ void save_index(std::ostream& out, const FmIndex& index,
 void save_index_file(const std::string& path, const FmIndex& index,
                      const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) fail("cannot open " + path);
-  save_index(out, index, reference, chromosomes);
+  // A unique sibling name: same directory (rename must not cross file
+  // systems), pid + counter so concurrent writers never share a temp file.
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(counter.fetch_add(1));
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC,
+                        0666);
+  if (fd < 0) fail("cannot create " + tmp + ": " + std::strerror(errno));
+  try {
+    {
+      std::ofstream out(tmp, std::ios::binary);
+      if (!out) fail("cannot open " + tmp);
+      save_index(out, index, reference, chromosomes);
+      out.flush();
+      if (!out) fail("write failed: " + tmp);
+    }
+    if (::fsync(fd) != 0) {
+      fail("fsync failed: " + tmp + ": " + std::strerror(errno));
+    }
+  } catch (...) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  const bool closed = ::close(fd) == 0;
+  if (!closed || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    const std::string reason = std::strerror(errno);
+    ::unlink(tmp.c_str());
+    fail("cannot replace " + path + " with " + tmp + ": " + reason);
+  }
+  // Persist the directory entry too; best effort (the artifact itself is
+  // already durable and in place).
+  std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  if (dir.empty()) dir = ".";
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
+  }
 }
 
 void save_index_v1(std::ostream& out, const FmIndex& index,

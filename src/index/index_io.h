@@ -50,6 +50,11 @@ inline constexpr std::uint32_t kIndexVersion = 2;
 void save_index(std::ostream& out, const FmIndex& index,
                 const genome::PackedSequence& reference,
                 const std::vector<genome::Chromosome>& chromosomes = {});
+/// save_index into `path`, replaced atomically: the artifact is written to
+/// a temp file in the same directory, fsynced, then renamed over `path`.
+/// A MappedIndex still open on the old file keeps its (now unlinked) inode
+/// and never sees a truncated or half-written artifact; on failure `path`
+/// is left untouched and the temp file removed.
 void save_index_file(const std::string& path, const FmIndex& index,
                      const genome::PackedSequence& reference,
                      const std::vector<genome::Chromosome>& chromosomes = {});

@@ -500,7 +500,7 @@ std::string AlignServer::Impl::render_sam(
     // "read<i>" matches SamWriter::write_batch over a nameless batch, so
     // wire SAM is byte-identical to the in-process emission path.
     writer.write_alignment("read" + std::to_string(i), p.reads[i],
-                           results[i]);
+                           results[i].stage, results[i].hits);
   }
   return out.str();
 }

@@ -1,24 +1,42 @@
 #include "src/pim/pim_engine.h"
 
+#include "src/align/two_stage_core.h"
+
 namespace pim::hw {
+
+namespace {
+
+/// The two-stage core's backend on the platform: Algorithms 1 and 2 on the
+/// in-memory LFM primitives, locates through the charged SA region.
+struct PlatformSearchBackend {
+  PimAlignerPlatform* platform;
+
+  align::ExactResult exact_search(const std::vector<genome::Base>& read) const {
+    return platform->exact_align(read);
+  }
+  align::InexactResult inexact_search(
+      const std::vector<genome::Base>& read,
+      const align::InexactOptions& options) const {
+    return platform->inexact_align(read, options);
+  }
+  void locate_all_into(const index::SaInterval& interval,
+                       std::vector<std::uint64_t>& out) const {
+    platform->locate_all_into(interval, out);
+  }
+};
+
+}  // namespace
 
 void PimEngine::align_range(const align::ReadBatch& batch, std::size_t begin,
                             std::size_t end, align::BatchResult& out) const {
-  if (driver_.options().best_hit_only) out.set_best_hit_only(true);
-  std::vector<genome::Base> scratch;
+  if (options_.best_hit_only) out.set_best_hit_only(true);
+  const PlatformSearchBackend backend{platform_};
+  align::detail::TwoStageScratch scratch;
   for (std::size_t i = begin; i < end; ++i) {
-    batch.read(i).unpack_into(scratch);
-    const align::AlignmentResult result = driver_.align(scratch);
-    // Stage-search accounting mirrors the software engine: two strand
-    // searches per attempted stage (stage two only on stage-one misses).
-    const bool both =
-        driver_.options().try_reverse_complement;
-    out.stats().exact_searches += both ? 2 : 1;
-    if (result.stage != align::AlignmentStage::kExact &&
-        driver_.options().inexact.max_diffs > 0) {
-      out.stats().inexact_searches += both ? 2 : 1;
-    }
-    out.add_read(result.stage, result.hits);
+    batch.read(i).unpack_into(scratch.read);
+    const align::AlignmentStage stage = align::detail::align_two_stage(
+        backend, options_, scratch.read, scratch, out.stats());
+    out.add_read(stage, scratch.hits);
     // Publish the hardware tallies at every read boundary (S43): this
     // thread is the platform's single driver, so the seqlock store is
     // race-free, and a concurrent PimChipFleet::publish_metrics scrape
@@ -33,7 +51,6 @@ HwBatchReport PimEngine::run(const align::ReadBatch& batch,
   platform_->reset_stats();
   align_batch(batch, out);
   HwBatchReport report;
-  report.stats = out.stats().to_aligner_stats();
   report.hardware = platform_->aggregate_stats();
   report.busy_ns = report.hardware.ops.busy_ns;
   report.energy_pj = report.hardware.ops.energy_pj;

@@ -81,10 +81,17 @@ align::InexactResult PimAlignerPlatform::inexact_align(
 
 std::vector<std::uint64_t> PimAlignerPlatform::locate_all(
     const index::SaInterval& interval) {
+  std::vector<std::uint64_t> positions;
+  locate_all_into(interval, positions);
+  return positions;
+}
+
+void PimAlignerPlatform::locate_all_into(const index::SaInterval& interval,
+                                         std::vector<std::uint64_t>& out) {
   // The SA lives in plain (non-computational) memory sub-arrays; each locate
   // is one 32-bit word read per row in the interval.
   sa_mem_reads_ += interval.count();
-  return fm_->locate_all(interval);
+  fm_->locate_all_into(interval, out);
 }
 
 void PimAlignerPlatform::charge_wfa_extension(

@@ -56,8 +56,10 @@ class PimAlignerPlatform {
   align::InexactResult inexact_align(const std::vector<genome::Base>& read,
                                      const align::InexactOptions& options = {});
   /// Locate through the SA region (plain memory sub-arrays); charged as SA
-  /// MEM reads.
+  /// MEM reads. The _into form reuses the caller's buffer.
   std::vector<std::uint64_t> locate_all(const index::SaInterval& interval);
+  void locate_all_into(const index::SaInterval& interval,
+                       std::vector<std::uint64_t>& out);
 
   /// Charge a seed_extend extension pass onto the sub-array op model (S44).
   /// WFA maps naturally: every wavefront extension is a bulk compare of the

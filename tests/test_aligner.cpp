@@ -1,18 +1,20 @@
-#include "src/align/aligner.h"
-
+// The two-stage pipeline's behaviour, read by read, through SoftwareEngine.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/rng.h"
+#include "tests/engine_test_util.h"
 
 namespace pim::align {
 namespace {
 
 using genome::Base;
 using genome::PackedSequence;
+using test_util::align_read;
 
 struct Fixture {
   PackedSequence text;
@@ -28,9 +30,9 @@ struct Fixture {
 
 TEST(Aligner, ExactStageFindsPlantedRead) {
   const Fixture f;
-  const Aligner aligner(f.fm);
+  const SoftwareEngine engine(f.fm);
   const auto read = f.text.slice(1000, 1060);
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   EXPECT_EQ(result.stage, AlignmentStage::kExact);
   ASSERT_TRUE(result.best().has_value());
   EXPECT_EQ(result.best()->diffs, 0U);
@@ -45,10 +47,10 @@ TEST(Aligner, ExactStageFindsPlantedRead) {
 
 TEST(Aligner, ReverseComplementReadAlignsToForwardOrigin) {
   const Fixture f;
-  const Aligner aligner(f.fm);
+  const SoftwareEngine engine(f.fm);
   const auto fwd = f.text.slice(2000, 2050);
   const auto read = genome::reverse_complement(fwd);
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   EXPECT_EQ(result.stage, AlignmentStage::kExact);
   bool found = false;
   for (const auto& hit : result.hits) {
@@ -64,20 +66,20 @@ TEST(Aligner, RcDisabledMissesReverseReads) {
   AlignerOptions opt;
   opt.try_reverse_complement = false;
   opt.inexact.max_diffs = 0;
-  const Aligner aligner(f.fm, opt);
+  const SoftwareEngine engine(f.fm, opt);
   const auto read = genome::reverse_complement(f.text.slice(2000, 2050));
-  EXPECT_FALSE(aligner.align(read).aligned());
+  EXPECT_FALSE(align_read(engine, read).aligned());
 }
 
 TEST(Aligner, MutatedReadFallsToInexactStage) {
   const Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 2;
-  const Aligner aligner(f.fm, opt);
+  const SoftwareEngine engine(f.fm, opt);
   auto read = f.text.slice(3000, 3050);
   read[10] = static_cast<Base>((static_cast<int>(read[10]) + 1) % 4);
   read[40] = static_cast<Base>((static_cast<int>(read[40]) + 2) % 4);
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   EXPECT_EQ(result.stage, AlignmentStage::kInexact);
   bool found = false;
   for (const auto& hit : result.hits) {
@@ -93,14 +95,14 @@ TEST(Aligner, OverMutatedReadStaysUnaligned) {
   const Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 1;
-  const Aligner aligner(f.fm, opt);
+  const SoftwareEngine engine(f.fm, opt);
   auto read = f.text.slice(100, 140);
   // Mutate 8 spread positions — far beyond the budget.
   for (std::size_t i = 0; i < 8; ++i) {
     const std::size_t pos = i * 5;
     read[pos] = static_cast<Base>((static_cast<int>(read[pos]) + 1) % 4);
   }
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   EXPECT_EQ(result.stage, AlignmentStage::kUnaligned);
   EXPECT_FALSE(result.best().has_value());
 }
@@ -110,16 +112,16 @@ TEST(Aligner, MaxHitsCapsOutput) {
   const auto fm = index::FmIndex::build(text, {.bucket_width = 8});
   AlignerOptions opt;
   opt.max_hits = 5;
-  const Aligner aligner(fm, opt);
-  const auto result = aligner.align(genome::encode("AAAA"));
+  const SoftwareEngine engine(fm, opt);
+  const auto result = align_read(engine, genome::encode("AAAA"));
   EXPECT_EQ(result.stage, AlignmentStage::kExact);
   EXPECT_LE(result.hits.size(), 5U);
 }
 
 TEST(Aligner, HitsSortedByPosition) {
   const Fixture f;
-  const Aligner aligner(f.fm);
-  const auto result = aligner.align(f.text.slice(10, 30));
+  const SoftwareEngine engine(f.fm);
+  const auto result = align_read(engine, f.text.slice(10, 30));
   EXPECT_TRUE(std::is_sorted(
       result.hits.begin(), result.hits.end(),
       [](const AlignmentHit& a, const AlignmentHit& b) {
@@ -131,7 +133,7 @@ TEST(Aligner, BatchStatsReflectStageMix) {
   const Fixture f(30000, 3);
   AlignerOptions opt;
   opt.inexact.max_diffs = 2;
-  const Aligner aligner(f.fm, opt);
+  const SoftwareEngine engine(f.fm, opt);
 
   readsim::ReadSimSpec spec;
   spec.read_length = 70;
@@ -144,8 +146,9 @@ TEST(Aligner, BatchStatsReflectStageMix) {
   reads.reserve(set.reads.size());
   for (const auto& r : set.reads) reads.push_back(r.bases);
 
-  AlignerStats stats;
-  const auto results = aligner.align_batch(reads, &stats);
+  BatchResult results;
+  engine.align_batch(ReadBatch::from_reads(reads), results);
+  const EngineStats& stats = results.stats();
   EXPECT_EQ(results.size(), reads.size());
   EXPECT_EQ(stats.reads_total, reads.size());
   EXPECT_EQ(stats.reads_exact + stats.reads_inexact + stats.reads_unaligned,
@@ -159,12 +162,12 @@ TEST(Aligner, BatchStatsReflectStageMix) {
 
 TEST(Aligner, EveryExactStageReadTrulyOccurs) {
   const Fixture f(8000, 5);
-  const Aligner aligner(f.fm);
+  const SoftwareEngine engine(f.fm);
   util::Xoshiro256 rng(17);
   for (int trial = 0; trial < 30; ++trial) {
     const std::size_t start = rng.bounded(f.text.size() - 40);
     const auto read = f.text.slice(start, start + 40);
-    const auto result = aligner.align(read);
+    const auto result = align_read(engine, read);
     ASSERT_EQ(result.stage, AlignmentStage::kExact);
     for (const auto& hit : result.hits) {
       if (hit.strand != Strand::kForward) continue;

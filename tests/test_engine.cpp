@@ -1,12 +1,12 @@
 // Equivalence suite for the unified batch alignment engine (S37):
-//   * SoftwareEngine, PimEngine, and the legacy per-read Aligner path must
-//     produce bit-identical AlignmentResults on randomized reads (exact,
-//     inexact, reverse-complement, unaligned);
+//   * SoftwareEngine, PimEngine, and one-read batches (the per-read path)
+//     must produce bit-identical results on randomized reads (exact,
+//     inexact, reverse-complement, unaligned), and the two two-stage
+//     engines identical EngineStats counters;
 //   * chunked parallel scheduling must be positionally deterministic across
 //     thread counts and chunk sizes;
 //   * ReadBatch must round-trip reads, names, and qualities losslessly;
-//   * EngineStats must carry the per-stage counters the legacy front-ends
-//     used to drop.
+//   * EngineStats must carry the per-stage counters through every front-end.
 #include "src/align/engine.h"
 
 #include <gtest/gtest.h>
@@ -21,9 +21,12 @@
 #include "src/pim/pim_fleet.h"
 #include "src/readsim/read_simulator.h"
 #include "src/util/rng.h"
+#include "tests/engine_test_util.h"
 
 namespace pim::align {
 namespace {
+
+using test_util::align_read;
 
 // Randomized read mix covering every outcome class: exact copies, mutated
 // reads (stage two), reverse-complement strands of both, and random garbage
@@ -148,53 +151,106 @@ TEST(ReadBatch, UnnamedReadsBeforeNamedOnesBackfillEmpty) {
   EXPECT_EQ(batch.name(1), "named");
 }
 
+/// Per-read reference outcomes: each read aligned as its own one-read
+/// batch, with the stage tallies a per-read loop would keep.
+struct PerRead {
+  std::vector<AlignmentResult> results;
+  EngineStats stats;
+};
+
+PerRead align_per_read(const AlignmentEngine& engine,
+                       const std::vector<std::vector<genome::Base>>& reads) {
+  PerRead out;
+  for (const auto& read : reads) {
+    out.results.push_back(align_read(engine, read));
+    ++out.stats.reads_total;
+    switch (out.results.back().stage) {
+      case AlignmentStage::kExact: ++out.stats.reads_exact; break;
+      case AlignmentStage::kInexact: ++out.stats.reads_inexact; break;
+      case AlignmentStage::kUnaligned: ++out.stats.reads_unaligned; break;
+    }
+  }
+  return out;
+}
+
+/// The counters the shared two-stage core makes identical across backends.
+void expect_same_counters(const EngineStats& want, const EngineStats& got,
+                          const char* label) {
+  EXPECT_EQ(got.reads_total, want.reads_total) << label;
+  EXPECT_EQ(got.reads_exact, want.reads_exact) << label;
+  EXPECT_EQ(got.reads_inexact, want.reads_inexact) << label;
+  EXPECT_EQ(got.reads_unaligned, want.reads_unaligned) << label;
+  EXPECT_EQ(got.hits_total, want.hits_total) << label;
+  EXPECT_EQ(got.exact_searches, want.exact_searches) << label;
+  EXPECT_EQ(got.inexact_searches, want.inexact_searches) << label;
+}
+
 TEST(Engine, SoftwareEngineBitIdenticalToLegacyAligner) {
   Fixture f;
-  const Aligner aligner(f.fm, f.options);
   const SoftwareEngine engine(f.fm, f.options);
 
-  AlignerStats legacy_stats;
-  const auto legacy = aligner.align_batch(f.reads, &legacy_stats);
+  const PerRead per_read = align_per_read(engine, f.reads);
 
   BatchResult result;
   engine.align_batch(f.batch, result);
 
-  ASSERT_EQ(result.size(), legacy.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    expect_identical(legacy[i], result.stage(i), result.hits(i), i,
+  ASSERT_EQ(result.size(), per_read.results.size());
+  for (std::size_t i = 0; i < per_read.results.size(); ++i) {
+    expect_identical(per_read.results[i], result.stage(i), result.hits(i), i,
                      "software");
   }
   // Outcome classes all occur in the mix (the suite is vacuous otherwise).
   EXPECT_GT(result.stats().reads_exact, 0u);
   EXPECT_GT(result.stats().reads_inexact, 0u);
   EXPECT_GT(result.stats().reads_unaligned, 0u);
-  // And the stats agree with the legacy accounting.
-  EXPECT_EQ(result.stats().reads_total, legacy_stats.reads_total);
-  EXPECT_EQ(result.stats().reads_exact, legacy_stats.reads_exact);
-  EXPECT_EQ(result.stats().reads_inexact, legacy_stats.reads_inexact);
-  EXPECT_EQ(result.stats().reads_unaligned, legacy_stats.reads_unaligned);
+  // And the stats agree with the per-read accounting.
+  EXPECT_EQ(result.stats().reads_total, per_read.stats.reads_total);
+  EXPECT_EQ(result.stats().reads_exact, per_read.stats.reads_exact);
+  EXPECT_EQ(result.stats().reads_inexact, per_read.stats.reads_inexact);
+  EXPECT_EQ(result.stats().reads_unaligned, per_read.stats.reads_unaligned);
 }
 
 TEST(Engine, PimEngineBitIdenticalToSoftwareEngine) {
   Fixture f(60);  // PIM simulation pays per-op accounting; keep it modest.
-  const SoftwareEngine software(f.fm, f.options);
   hw::TimingEnergyModel timing;
   hw::PimAlignerPlatform platform(f.fm, timing);
-  const hw::PimEngine pim_engine(platform, f.options);
 
-  BatchResult sw, hw_result;
-  software.align_batch(f.batch, sw);
-  const auto report = pim_engine.run(f.batch, hw_result);
-
-  ASSERT_EQ(hw_result.size(), sw.size());
-  for (std::size_t i = 0; i < sw.size(); ++i) {
-    expect_identical(sw.result(i), hw_result.stage(i), hw_result.hits(i), i,
-                     "pim");
+  // 20 forward-strand exact reads: at max_hits=1 stage one's first hit
+  // fills the cap, so neither engine may issue the reverse-strand search.
+  std::vector<std::vector<genome::Base>> forward;
+  for (std::size_t i = 0; i < 20; ++i) {
+    forward.push_back(f.reference.slice(1000 + 2011 * i, 1100 + 2011 * i));
   }
-  EXPECT_EQ(report.stats.reads_total, sw.stats().reads_total);
-  EXPECT_EQ(report.stats.reads_exact, sw.stats().reads_exact);
-  EXPECT_GT(report.hardware.lfm_calls, 0u);
-  EXPECT_GT(report.energy_pj, 0.0);
+  const ReadBatch forward_batch = ReadBatch::from_reads(forward);
+
+  const std::vector<const ReadBatch*> batches = {&f.batch, &forward_batch};
+  AlignerOptions capped = f.options;
+  capped.max_hits = 1;
+  for (const AlignerOptions& options : {f.options, capped}) {
+    const char* label = options.max_hits == 1 ? "max_hits=1" : "default";
+    const SoftwareEngine software(f.fm, options);
+    const hw::PimEngine pim_engine(platform, options);
+    for (const ReadBatch* batch : batches) {
+      BatchResult sw, hw_result;
+      software.align_batch(*batch, sw);
+      const auto report = pim_engine.run(*batch, hw_result);
+
+      ASSERT_EQ(hw_result.size(), sw.size());
+      for (std::size_t i = 0; i < sw.size(); ++i) {
+        expect_identical(sw.result(i), hw_result.stage(i), hw_result.hits(i),
+                         i, label);
+      }
+      expect_same_counters(sw.stats(), hw_result.stats(), label);
+      EXPECT_GT(report.hardware.lfm_calls, 0u);
+      EXPECT_GT(report.energy_pj, 0.0);
+    }
+  }
+  // The capped forward batch really skipped the reverse strand.
+  const SoftwareEngine software(f.fm, capped);
+  BatchResult sw;
+  software.align_batch(forward_batch, sw);
+  EXPECT_EQ(sw.stats().reads_exact, forward.size());
+  EXPECT_EQ(sw.stats().exact_searches, forward.size());
 }
 
 TEST(Engine, ChunkedParallelDeterministicAcrossThreadAndChunkCounts) {
@@ -245,21 +301,23 @@ TEST(Engine, SchedulerRunsNonThreadSafeEnginesSerially) {
 
 TEST(Engine, LegacyParallelAdapterMatchesAlignerAndReportsStats) {
   Fixture f;
-  const Aligner aligner(f.fm, f.options);
-  AlignerStats serial_stats, parallel_stats;
-  const auto serial = aligner.align_batch(f.reads, &serial_stats);
-  const auto parallel =
-      align_batch_parallel(aligner, f.reads, 4, &parallel_stats);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_identical(serial[i], parallel[i].stage,
+  const SoftwareEngine engine(f.fm, f.options);
+  const PerRead serial = align_per_read(engine, f.reads);
+  BatchResult batch_result;
+  align_batch_parallel(engine, ReadBatch::from_reads(f.reads), batch_result,
+                       {.num_threads = 4});
+  const auto parallel = batch_result.to_results();
+  ASSERT_EQ(parallel.size(), serial.results.size());
+  for (std::size_t i = 0; i < serial.results.size(); ++i) {
+    expect_identical(serial.results[i], parallel[i].stage,
                      std::span<const AlignmentHit>(parallel[i].hits), i,
-                     "legacy-adapter");
+                     "parallel-to-results");
   }
-  EXPECT_EQ(parallel_stats.reads_total, serial_stats.reads_total);
-  EXPECT_EQ(parallel_stats.reads_exact, serial_stats.reads_exact);
-  EXPECT_EQ(parallel_stats.reads_inexact, serial_stats.reads_inexact);
-  EXPECT_EQ(parallel_stats.reads_unaligned, serial_stats.reads_unaligned);
+  const EngineStats& parallel_stats = batch_result.stats();
+  EXPECT_EQ(parallel_stats.reads_total, serial.stats.reads_total);
+  EXPECT_EQ(parallel_stats.reads_exact, serial.stats.reads_exact);
+  EXPECT_EQ(parallel_stats.reads_inexact, serial.stats.reads_inexact);
+  EXPECT_EQ(parallel_stats.reads_unaligned, serial.stats.reads_unaligned);
 }
 
 TEST(Engine, StatsCarryStageSearchCountersAndWallTime) {
@@ -283,20 +341,15 @@ TEST(Engine, StatsCarryStageSearchCountersAndWallTime) {
   merged.merge(s);
   EXPECT_EQ(merged.reads_total, 2 * s.reads_total);
   EXPECT_EQ(merged.exact_searches, 2 * s.exact_searches);
-
-  const AlignerStats legacy = s.to_aligner_stats();
-  EXPECT_EQ(legacy.reads_total, s.reads_total);
-  EXPECT_EQ(legacy.reads_exact, s.reads_exact);
 }
 
 TEST(Engine, BatchResultBestMatchesLegacyBest) {
   Fixture f;
   const SoftwareEngine engine(f.fm, f.options);
-  const Aligner aligner(f.fm, f.options);
   BatchResult result;
   engine.align_batch(f.batch, result);
   for (std::size_t i = 0; i < f.reads.size(); ++i) {
-    const auto want = aligner.align(f.reads[i]).best();
+    const auto want = align_read(engine, f.reads[i]).best();
     const auto got = result.best(i);
     ASSERT_EQ(got.has_value(), want.has_value()) << i;
     if (want) {
@@ -698,14 +751,15 @@ TEST(Sharded, RejectsEmptyAndNullShards) {
 
 TEST(Engine, LegacyAdapterRoutesFullEngineStats) {
   Fixture f(40);
-  const Aligner aligner(f.fm, f.options);
-  AlignerStats legacy;
-  EngineStats full;
-  const auto results = align_batch_parallel(aligner, f.reads, 2, &legacy,
-                                            &full);
+  const SoftwareEngine engine(f.fm, f.options);
+  BatchResult batch_result;
+  align_batch_parallel(engine, ReadBatch::from_reads(f.reads), batch_result,
+                       {.num_threads = 2});
+  const auto results = batch_result.to_results();
+  const EngineStats& full = batch_result.stats();
   ASSERT_EQ(results.size(), f.reads.size());
-  EXPECT_EQ(full.reads_total, legacy.reads_total);
-  // The counters the legacy bridge cannot carry arrive via EngineStats.
+  EXPECT_EQ(full.reads_total, f.reads.size());
+  // The full counters travel with the owned per-read results.
   std::uint64_t hits = 0;
   for (const auto& r : results) hits += r.hits.size();
   EXPECT_EQ(full.hits_total, hits);

@@ -18,11 +18,13 @@
 #include "src/index/index_io.h"
 #include "src/obs/metrics.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::serve {
 namespace {
 
 struct Artifact {
+  std::shared_ptr<const test_util::TempDir> dir;  ///< Holds `path`.
   std::string id;
   std::string path;
   genome::PackedSequence reference;
@@ -32,11 +34,13 @@ struct Artifact {
 /// Builds `count` distinct references and persists each as a v2 artifact.
 std::vector<Artifact> make_artifacts(std::size_t count,
                                      std::size_t length = 20000) {
+  const auto dir = std::make_shared<const test_util::TempDir>();
   std::vector<Artifact> artifacts;
   for (std::size_t i = 0; i < count; ++i) {
     Artifact a;
+    a.dir = dir;
     a.id = "ref" + std::to_string(i);
-    a.path = "/tmp/pim_cache_test_" + a.id + ".index";
+    a.path = dir->file(a.id + ".index");
     genome::SyntheticGenomeSpec spec;
     spec.length = length;
     spec.seed = 900 + i;

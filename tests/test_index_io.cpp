@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "src/align/backward_search.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::index {
 namespace {
@@ -101,11 +105,12 @@ TEST(IndexIo, SizeMismatchRejectedOnSave) {
 
 TEST(IndexIo, FileRoundTrip) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_test_index.bin";
+  const test_util::TempDir dir;
+  const std::string path = dir.file("test_index.bin");
   save_index_file(path, f.fm, f.reference);
   const LoadedIndex loaded = load_index_file(path);
   EXPECT_TRUE(loaded.reference == f.reference);
-  EXPECT_THROW(load_index_file("/tmp/definitely_missing_index_file.bin"),
+  EXPECT_THROW(load_index_file(dir.file("definitely_missing_index_file.bin")),
                std::runtime_error);
 }
 
@@ -151,7 +156,8 @@ TEST(IndexIo, NonContiguousChromosomesRejectedOnSave) {
 
 TEST(IndexIo, InspectReportsSections) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_test_inspect.bin";
+  const test_util::TempDir dir;
+  const std::string path = dir.file("test_inspect.bin");
   save_index_file(path, f.fm, f.reference, {{"only", 0, 5000}});
   const auto info = inspect_index_file(path);
   EXPECT_EQ(info.version, kIndexVersion);
@@ -190,7 +196,8 @@ void expect_both_loaders_reject(const std::string& bytes,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << tag << ": stream error was: " << e.what();
   }
-  const std::string path = "/tmp/pim_aligner_corrupt_" + tag + ".bin";
+  const test_util::TempDir dir;
+  const std::string path = dir.file("corrupt_" + tag + ".bin");
   {
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -234,7 +241,8 @@ TEST(IndexIoHardening, FlippedPayloadByteNamesSection) {
   Fixture f;
   std::string bytes = v2_bytes(f);
   const auto info = [&] {
-    const std::string path = "/tmp/pim_aligner_hardening_layout.bin";
+    const test_util::TempDir dir;
+    const std::string path = dir.file("hardening_layout.bin");
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
@@ -307,7 +315,8 @@ TEST(IndexIoHardening, HeaderChecksumCoversHeaderFields) {
 
 TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
   Fixture f(4);
-  const std::string path = "/tmp/pim_aligner_identity.bin";
+  const test_util::TempDir dir;
+  const std::string path = dir.file("identity.bin");
   save_index_file(path, f.fm, f.reference, {{"chr", 0, 5000}});
   const LoadedIndex streamed = load_index_file(path);
   const MappedIndex mapped = MappedIndex::open(path);
@@ -336,7 +345,8 @@ TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
 
 TEST(IndexIoIdentity, MappedIndexMoveKeepsBorrowsValid) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_identity_move.bin";
+  const test_util::TempDir dir;
+  const std::string path = dir.file("identity_move.bin");
   save_index_file(path, f.fm, f.reference);
   MappedIndex first = MappedIndex::open(path);
   const auto before = first.index().locate(11);
@@ -347,9 +357,72 @@ TEST(IndexIoIdentity, MappedIndexMoveKeepsBorrowsValid) {
   EXPECT_EQ(third.index().locate(11), before);
 }
 
+// save_index_file replaces artifacts atomically: rebuilding an index in
+// place under a live mapping (a serving process) must not truncate the
+// mapped file — the old mapping keeps its inode and aligns as before.
+TEST(IndexIoIdentity, SaveOverLiveMappingKeepsOldMappingIntact) {
+  genome::SyntheticGenomeSpec spec;
+  spec.length = 200000;
+  spec.seed = 41;
+  const PackedSequence old_ref = genome::generate_reference(spec);
+  const FmIndex old_fm = FmIndex::build(old_ref, {.bucket_width = 128});
+  spec.length = 2000;
+  spec.seed = 42;
+  const PackedSequence new_ref = genome::generate_reference(spec);
+  const FmIndex new_fm = FmIndex::build(new_ref, {.bucket_width = 128});
+
+  const test_util::TempDir dir;
+  const std::string path = dir.file("live.index");
+  save_index_file(path, old_fm, old_ref);
+  const MappedIndex live = MappedIndex::open(path);
+
+  util::Xoshiro256 rng(43);
+  std::vector<std::vector<genome::Base>> reads;
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t start = rng.bounded(old_ref.size() - 80);
+    reads.push_back(old_ref.slice(start, start + 80));
+  }
+  const auto batch = align::ReadBatch::from_reads(reads);
+  align::AlignerOptions options;
+  options.inexact.max_diffs = 1;
+  const align::SoftwareEngine engine(live.index(), options);
+  align::BatchResult before;
+  engine.align_batch(batch, before);
+
+  // A different, much smaller index over the same path.
+  save_index_file(path, new_fm, new_ref);
+
+  align::BatchResult after;
+  engine.align_batch(batch, after);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(after.stage(i), before.stage(i)) << i;
+    const auto a = after.hits(i);
+    const auto b = before.hits(i);
+    ASSERT_EQ(a.size(), b.size()) << i;
+    for (std::size_t h = 0; h < a.size(); ++h) {
+      EXPECT_EQ(a[h].position, b[h].position) << i;
+      EXPECT_EQ(a[h].diffs, b[h].diffs) << i;
+      EXPECT_EQ(a[h].strand, b[h].strand) << i;
+    }
+  }
+  EXPECT_EQ(before.stats().reads_exact, reads.size());
+  EXPECT_TRUE(live.reference() == old_ref);
+
+  // New opens see the new artifact, and no temp file is left behind.
+  EXPECT_TRUE(MappedIndex::open(path).reference() == new_ref);
+  std::size_t entries = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir.path())) {
+    (void)entry;
+    ++entries;
+  }
+  EXPECT_EQ(entries, 1U);
+}
+
 TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
   Fixture f;
-  const std::string path = "/tmp/pim_aligner_v1_fallback.bin";
+  const test_util::TempDir dir;
+  const std::string path = dir.file("v1_fallback.bin");
   {
     std::ofstream out(path, std::ios::binary);
     save_index_v1(out, f.fm, f.reference);
@@ -362,8 +435,9 @@ TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
 
 TEST(IndexIoIdentity, LoadMetricsDistinguishRebuildFromMap) {
   Fixture f;
-  const std::string v1_path = "/tmp/pim_aligner_metrics_v1.bin";
-  const std::string v2_path = "/tmp/pim_aligner_metrics_v2.bin";
+  const test_util::TempDir dir;
+  const std::string v1_path = dir.file("metrics_v1.bin");
+  const std::string v2_path = dir.file("metrics_v2.bin");
   {
     std::ofstream out(v1_path, std::ios::binary);
     save_index_v1(out, f.fm, f.reference);

@@ -5,14 +5,16 @@
 
 #include <algorithm>
 
-#include "src/align/aligner.h"
+#include "src/align/engine.h"
 #include "src/genome/synthetic_genome.h"
-#include "src/pim/controller.h"
+#include "src/pim/pim_engine.h"
 #include "src/pim/platform.h"
 #include "src/readsim/read_simulator.h"
+#include "tests/engine_test_util.h"
 
 namespace {
 
+using pim::test_util::align_read;
 using pim::genome::Base;
 
 struct Pipeline {
@@ -50,12 +52,12 @@ TEST(Integration, SoftwareAndHardwarePathsAgreePerRead) {
   Pipeline p(40000, 40, 64, 101);
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  const pim::align::Aligner software(p.fm, options);
-  pim::hw::PimBatchDriver hardware(*p.platform, options);
+  const pim::align::SoftwareEngine software(p.fm, options);
+  const pim::hw::PimEngine hardware(*p.platform, options);
 
   for (std::size_t i = 0; i < p.reads.size(); ++i) {
-    const auto sw = software.align(p.reads[i]);
-    const auto hw_result = hardware.align(p.reads[i]);
+    const auto sw = align_read(software, p.reads[i]);
+    const auto hw_result = align_read(hardware, p.reads[i]);
     ASSERT_EQ(hw_result.stage, sw.stage) << "read " << i;
     ASSERT_EQ(hw_result.hits.size(), sw.hits.size()) << "read " << i;
     for (std::size_t h = 0; h < sw.hits.size(); ++h) {
@@ -71,10 +73,10 @@ TEST(Integration, GroundTruthOriginRecovered) {
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
   options.max_hits = 0;  // unlimited, so the origin cannot be capped away
-  const pim::align::Aligner aligner(p.fm, options);
+  const pim::align::SoftwareEngine engine(p.fm, options);
   std::size_t recovered = 0, aligned = 0;
   for (std::size_t i = 0; i < p.reads.size(); ++i) {
-    const auto result = aligner.align(p.reads[i]);
+    const auto result = align_read(engine, p.reads[i]);
     if (!result.aligned()) continue;
     ++aligned;
     for (const auto& hit : result.hits) {
@@ -93,12 +95,14 @@ TEST(Integration, StageMixMatchesPaperExpectation) {
   Pipeline p(60000, 120, 100, 303);
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 2;
-  pim::hw::PimBatchDriver driver(*p.platform, options);
-  const auto report = driver.run(p.reads);
-  EXPECT_EQ(report.stats.reads_total, p.reads.size());
+  const pim::hw::PimEngine engine(*p.platform, options);
+  pim::align::BatchResult results;
+  const auto report =
+      engine.run(pim::align::ReadBatch::from_reads(p.reads), results);
+  EXPECT_EQ(results.stats().reads_total, p.reads.size());
   // ~70% exact at the paper's error rates (loose bounds for 120 reads).
-  EXPECT_GT(report.stats.exact_fraction(), 0.55);
-  EXPECT_LT(report.stats.exact_fraction(), 0.92);
+  EXPECT_GT(results.stats().exact_fraction(), 0.55);
+  EXPECT_LT(results.stats().exact_fraction(), 0.92);
   // Hardware accounting is live.
   EXPECT_GT(report.hardware.lfm_calls, 0U);
   EXPECT_GT(report.busy_ns, 0.0);
@@ -109,7 +113,7 @@ TEST(Integration, EnergyScalesWithWork) {
   Pipeline p(30000, 0, 50, 404);
   pim::align::AlignerOptions options;
   options.inexact.max_diffs = 0;
-  pim::hw::PimBatchDriver driver(*p.platform, options);
+  const pim::hw::PimEngine engine(*p.platform, options);
 
   std::vector<std::vector<Base>> small_batch, big_batch;
   for (int i = 0; i < 4; ++i) {
@@ -121,8 +125,11 @@ TEST(Integration, EnergyScalesWithWork) {
   for (int rep = 0; rep < 3; ++rep) {
     big_batch.insert(big_batch.end(), small_batch.begin(), small_batch.end());
   }
-  const auto small_report = driver.run(small_batch);
-  const auto big_report = driver.run(big_batch);
+  pim::align::BatchResult results;
+  const auto small_report =
+      engine.run(pim::align::ReadBatch::from_reads(small_batch), results);
+  const auto big_report =
+      engine.run(pim::align::ReadBatch::from_reads(big_batch), results);
   EXPECT_NEAR(big_report.energy_pj / small_report.energy_pj, 4.0, 0.2);
 }
 
@@ -131,12 +138,12 @@ TEST(Integration, SampledSaStillAlignsCorrectly) {
   Pipeline p(20000, 0, 50, 505);
   const auto sampled_fm = pim::index::FmIndex::build(
       p.reference, {.bucket_width = 128, .sa_sample_rate = 8});
-  const pim::align::Aligner full(p.fm), sampled(sampled_fm);
+  const pim::align::SoftwareEngine full(p.fm), sampled(sampled_fm);
   for (int i = 0; i < 20; ++i) {
     const std::size_t start = 300 + static_cast<std::size_t>(i) * 611;
     const auto read = p.reference.slice(start, start + 44);
-    const auto a = full.align(read);
-    const auto b = sampled.align(read);
+    const auto a = align_read(full, read);
+    const auto b = align_read(sampled, read);
     ASSERT_EQ(a.hits.size(), b.hits.size());
     for (std::size_t h = 0; h < a.hits.size(); ++h) {
       EXPECT_EQ(a.hits[h].position, b.hits[h].position);

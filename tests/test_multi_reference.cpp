@@ -76,6 +76,17 @@ TEST(MultiReference, FromFastaTruncatesNames) {
   EXPECT_EQ(ref.chromosomes()[1].name, "chr2");
 }
 
+/// One read through SoftwareEngine, then MultiAligner's coordinate pass.
+pim::align::MultiAlignmentResult map_read(
+    const pim::align::MultiAligner& aligner, const pim::index::FmIndex& fm,
+    const pim::align::AlignerOptions& options, const std::vector<Base>& read) {
+  const pim::align::SoftwareEngine engine(fm, options);
+  const auto batch = pim::align::ReadBatch::from_reads({read});
+  pim::align::BatchResult raw;
+  engine.align_batch(batch, raw);
+  return aligner.map(batch, raw).front();
+}
+
 TEST(MultiAligner, HitsResolveToChromosomes) {
   const auto ref = three_chromosomes();
   const auto fm =
@@ -83,7 +94,7 @@ TEST(MultiAligner, HitsResolveToChromosomes) {
   const pim::align::MultiAligner aligner(ref, fm);
   // A read planted inside chr2.
   const auto read = ref.concatenated().slice(1100, 1160);
-  const auto result = aligner.align(read);
+  const auto result = map_read(aligner, fm, {}, read);
   ASSERT_TRUE(result.aligned());
   bool found = false;
   for (const auto& hit : result.hits) {
@@ -106,7 +117,7 @@ TEST(MultiAligner, JunctionArtifactsFiltered) {
   opt.try_reverse_complement = false;
   const pim::align::MultiAligner aligner(ref, fm, opt);
   // "CCCCGGGG" exists only across the junction.
-  const auto result = aligner.align(genome::encode("CCCCGGGG"));
+  const auto result = map_read(aligner, fm, opt, genome::encode("CCCCGGGG"));
   EXPECT_FALSE(result.aligned());
   EXPECT_GT(result.boundary_artifacts_dropped, 0U);
 }
@@ -126,7 +137,7 @@ TEST(MultiAligner, HitAtChromosomeEndNotDropped) {
   opt.inexact.max_diffs = 2;  // span = read + 2 would overrun chr3's end
   const pim::align::MultiAligner aligner(ref, fm, opt);
   const auto read = ref.concatenated().slice(2960, 3000);  // last 40 bp
-  const auto result = aligner.align(read);
+  const auto result = map_read(aligner, fm, opt, read);
   ASSERT_TRUE(result.aligned());
   bool found = false;
   for (const auto& hit : result.hits) {

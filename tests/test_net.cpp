@@ -42,6 +42,7 @@
 #include "src/serve/index_cache.h"
 #include "src/serve/service.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::net {
 namespace {
@@ -512,13 +513,14 @@ TEST(AlignServer, RoutesMultiReferenceRequestsOverTheWire) {
     index::FmIndex fm;
     std::vector<std::vector<genome::Base>> reads;
   };
+  const test_util::TempDir dir;
   std::vector<Ref> refs;
   align::AlignerOptions aligner;
   aligner.inexact.max_diffs = 2;
   for (std::size_t i = 0; i < 2; ++i) {
     Ref r;
     r.id = "genome" + std::to_string(i);
-    r.path = "/tmp/pim_net_test_" + r.id + ".index";
+    r.path = dir.file(r.id + ".index");
     genome::SyntheticGenomeSpec spec;
     spec.length = 20000;
     spec.seed = 700 + i;

@@ -32,56 +32,62 @@ TEST(ParallelAligner, ResultsIdenticalToSerial) {
   Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 2;
-  const Aligner aligner(f.fm, opt);
-  AlignerStats serial_stats, parallel_stats;
-  const auto serial = aligner.align_batch(f.reads, &serial_stats);
-  const auto parallel =
-      align_batch_parallel(aligner, f.reads, 4, &parallel_stats);
+  const SoftwareEngine engine(f.fm, opt);
+  const auto batch = ReadBatch::from_reads(f.reads);
+  BatchResult serial, parallel;
+  engine.align_batch(batch, serial);
+  align_batch_parallel(engine, batch, parallel, {.num_threads = 4});
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].stage, serial[i].stage) << i;
-    ASSERT_EQ(parallel[i].hits.size(), serial[i].hits.size()) << i;
-    for (std::size_t h = 0; h < serial[i].hits.size(); ++h) {
-      EXPECT_EQ(parallel[i].hits[h].position, serial[i].hits[h].position);
-      EXPECT_EQ(parallel[i].hits[h].diffs, serial[i].hits[h].diffs);
-      EXPECT_EQ(parallel[i].hits[h].strand, serial[i].hits[h].strand);
+    EXPECT_EQ(parallel.stage(i), serial.stage(i)) << i;
+    ASSERT_EQ(parallel.hits(i).size(), serial.hits(i).size()) << i;
+    for (std::size_t h = 0; h < serial.hits(i).size(); ++h) {
+      EXPECT_EQ(parallel.hits(i)[h].position, serial.hits(i)[h].position);
+      EXPECT_EQ(parallel.hits(i)[h].diffs, serial.hits(i)[h].diffs);
+      EXPECT_EQ(parallel.hits(i)[h].strand, serial.hits(i)[h].strand);
     }
   }
-  EXPECT_EQ(parallel_stats.reads_total, serial_stats.reads_total);
-  EXPECT_EQ(parallel_stats.reads_exact, serial_stats.reads_exact);
-  EXPECT_EQ(parallel_stats.reads_inexact, serial_stats.reads_inexact);
-  EXPECT_EQ(parallel_stats.reads_unaligned, serial_stats.reads_unaligned);
+  EXPECT_EQ(parallel.stats().reads_total, serial.stats().reads_total);
+  EXPECT_EQ(parallel.stats().reads_exact, serial.stats().reads_exact);
+  EXPECT_EQ(parallel.stats().reads_inexact, serial.stats().reads_inexact);
+  EXPECT_EQ(parallel.stats().reads_unaligned, serial.stats().reads_unaligned);
 }
 
 TEST(ParallelAligner, SingleThreadWorks) {
   Fixture f;
-  const Aligner aligner(f.fm);
-  const auto results = align_batch_parallel(aligner, f.reads, 1);
+  const SoftwareEngine engine(f.fm);
+  BatchResult results;
+  align_batch_parallel(engine, ReadBatch::from_reads(f.reads), results,
+                       {.num_threads = 1});
   EXPECT_EQ(results.size(), f.reads.size());
 }
 
 TEST(ParallelAligner, MoreThreadsThanReads) {
   Fixture f;
-  const Aligner aligner(f.fm);
+  const SoftwareEngine engine(f.fm);
   std::vector<std::vector<genome::Base>> two(f.reads.begin(),
                                              f.reads.begin() + 2);
-  const auto results = align_batch_parallel(aligner, two, 16);
+  BatchResult results;
+  align_batch_parallel(engine, ReadBatch::from_reads(two), results,
+                       {.num_threads = 16});
   EXPECT_EQ(results.size(), 2U);
 }
 
 TEST(ParallelAligner, EmptyBatch) {
   Fixture f;
-  const Aligner aligner(f.fm);
-  AlignerStats stats;
-  const auto results = align_batch_parallel(aligner, {}, 4, &stats);
-  EXPECT_TRUE(results.empty());
-  EXPECT_EQ(stats.reads_total, 0U);
+  const SoftwareEngine engine(f.fm);
+  BatchResult results;
+  align_batch_parallel(engine, ReadBatch::from_reads({}), results,
+                       {.num_threads = 4});
+  EXPECT_EQ(results.size(), 0U);
+  EXPECT_EQ(results.stats().reads_total, 0U);
 }
 
 TEST(ParallelAligner, DefaultThreadCount) {
   Fixture f;
-  const Aligner aligner(f.fm);
-  const auto results = align_batch_parallel(aligner, f.reads, 0);
+  const SoftwareEngine engine(f.fm);
+  BatchResult results;
+  align_batch_parallel(engine, ReadBatch::from_reads(f.reads), results);
   EXPECT_EQ(results.size(), f.reads.size());
 }
 

@@ -6,12 +6,16 @@
 #include <sstream>
 
 #include "src/genome/synthetic_genome.h"
+#include "tests/engine_test_util.h"
+#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
 
 using genome::Base;
 using genome::PackedSequence;
+using test_util::align_pair;
+using test_util::align_read;
 
 struct Fixture {
   PackedSequence reference;
@@ -46,12 +50,12 @@ TEST(SamWriter, HeaderLines) {
 
 TEST(SamWriter, ExactForwardHit) {
   const Fixture f;
-  const Aligner aligner(f.fm);
+  const SoftwareEngine engine(f.fm);
   const auto read = f.reference.slice(1000, 1050);
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
-  writer.write_alignment("q1", read, result);
+  writer.write_alignment("q1", read, result.stage, result.hits);
   ASSERT_GE(writer.records_written(), 1U);
   const auto fields = split(split(out.str(), '\n')[0]);
   ASSERT_GE(fields.size(), 11U);
@@ -66,15 +70,15 @@ TEST(SamWriter, ExactForwardHit) {
 
 TEST(SamWriter, ReverseStrandHitStoresReferenceOrientation) {
   const Fixture f;
-  const Aligner aligner(f.fm);
+  const SoftwareEngine engine(f.fm);
   const auto fwd = f.reference.slice(3000, 3040);
   const auto read = genome::reverse_complement(fwd);
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   ASSERT_EQ(result.stage, AlignmentStage::kExact);
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
   const std::string qual(read.size(), 'I');
-  writer.write_alignment("q2", read, result, qual);
+  writer.write_alignment("q2", read, result.stage, result.hits, qual);
   const auto fields = split(split(out.str(), '\n')[0]);
   EXPECT_EQ(std::stoi(fields[1]) & SamRecord::kFlagReverse,
             SamRecord::kFlagReverse);
@@ -85,10 +89,10 @@ TEST(SamWriter, ReverseStrandHitStoresReferenceOrientation) {
 
 TEST(SamWriter, UnalignedRecord) {
   const Fixture f;
-  AlignmentResult empty;  // kUnaligned
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
-  writer.write_alignment("q3", genome::encode("ACGTACGT"), empty);
+  writer.write_alignment("q3", genome::encode("ACGTACGT"),
+                         AlignmentStage::kUnaligned, {});
   const auto fields = split(split(out.str(), '\n')[0]);
   EXPECT_EQ(std::stoi(fields[1]) & SamRecord::kFlagUnmapped,
             SamRecord::kFlagUnmapped);
@@ -102,13 +106,13 @@ TEST(SamWriter, SecondaryFlagsForMultiHits) {
   // A repetitive reference: the read maps to many places.
   const PackedSequence reference("ACGTACGTACGTACGTACGTACGTACGTACGT");
   const auto fm = index::FmIndex::build(reference, {.bucket_width = 8});
-  const Aligner aligner(fm);
+  const SoftwareEngine engine(fm);
   const auto read = genome::encode("ACGTACGT");
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   ASSERT_GT(result.hits.size(), 1U);
   std::ostringstream out;
   SamWriter writer(out, "rep", reference);
-  writer.write_alignment("q4", read, result);
+  writer.write_alignment("q4", read, result.stage, result.hits);
   const auto lines = split(out.str(), '\n');
   int secondary = 0;
   for (const auto& line : lines) {
@@ -125,14 +129,14 @@ TEST(SamWriter, MismatchHitKeepsFullLengthCigar) {
   const Fixture f;
   AlignerOptions opt;
   opt.inexact.max_diffs = 1;
-  const Aligner aligner(f.fm, opt);
+  const SoftwareEngine engine(f.fm, opt);
   auto read = f.reference.slice(2000, 2040);
   read[20] = static_cast<Base>((static_cast<int>(read[20]) + 1) % 4);
-  const auto result = aligner.align(read);
+  const auto result = align_read(engine, read);
   ASSERT_EQ(result.stage, AlignmentStage::kInexact);
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
-  writer.write_alignment("q5", read, result);
+  writer.write_alignment("q5", read, result.stage, result.hits);
   const auto fields = split(split(out.str(), '\n')[0]);
   // A substitution keeps the CIGAR one 40M run; NM carries the distance.
   EXPECT_EQ(fields[5], "40M");
@@ -144,14 +148,14 @@ TEST(SamWriter, IndelHitProducesIndelCigar) {
   AlignerOptions opt;
   opt.inexact.max_diffs = 1;
   opt.inexact.mode = EditMode::kFullEdit;
-  const Aligner aligner(f.fm, opt);
+  const SoftwareEngine engine(f.fm, opt);
   auto bases = f.reference.slice(4000, 4041);
   bases.erase(bases.begin() + 20);  // 1-bp deletion in the read
-  const auto result = aligner.align(bases);
+  const auto result = align_read(engine, bases);
   ASSERT_TRUE(result.aligned());
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
-  writer.write_alignment("q6", bases, result);
+  writer.write_alignment("q6", bases, result.stage, result.hits);
   bool has_indel_cigar = false;
   for (const auto& line : split(out.str(), '\n')) {
     if (line.empty()) continue;
@@ -168,10 +172,9 @@ TEST(SamWriter, QualityLengthMismatchThrows) {
   const Fixture f;
   std::ostringstream out;
   SamWriter writer(out, "chrTest", f.reference);
-  AlignmentResult empty;
   EXPECT_THROW(
-      writer.write_alignment("q", genome::encode("ACGT"), empty,
-                             std::string("II")),
+      writer.write_alignment("q", genome::encode("ACGT"),
+                             AlignmentStage::kUnaligned, {}, std::string("II")),
       std::invalid_argument);
 }
 
@@ -184,7 +187,7 @@ TEST(SamWriter, ProperPairRecords) {
   const PairedAligner paired(f.fm, popt);
   const auto r1 = f.reference.slice(1000, 1100);
   const auto r2 = genome::reverse_complement(f.reference.slice(1200, 1300));
-  const auto result = paired.align_pair(r1, r2);
+  const auto result = align_pair(paired, r1, r2);
   ASSERT_EQ(result.cls, PairClass::kProperPair);
 
   std::ostringstream out;
@@ -218,7 +221,7 @@ TEST(SamWriter, OneMateUnmappedPair) {
   const auto r1 = f.reference.slice(2000, 2100);
   std::vector<Base> junk(100, Base::A);
   junk[3] = Base::C;  // poly-A-ish junk: not in this reference
-  const auto result = paired.align_pair(r1, junk);
+  const auto result = align_pair(paired, r1, junk);
   ASSERT_EQ(result.cls, PairClass::kOneMate);
 
   std::ostringstream out;
@@ -257,8 +260,8 @@ TEST(SamWriter, EmptyBatchWritesNothing) {
 // trimming, and the unmapped-mate placement recommended by the SAM spec.
 // Every field is deterministic: forced exact hits make CIGAR/NM trivial and
 // MAPQ fixed. Regenerate the golden after an intended format change by
-// copying /tmp/pim_paired_end_actual.sam (dumped on mismatch) over
-// tests/golden/paired_end.sam and reviewing the diff.
+// copying the actual output (dumped on mismatch; the failure message names
+// the file) over tests/golden/paired_end.sam and reviewing the diff.
 TEST(SamWriter, PairedGoldenFile) {
   const std::string ref_str =
       "ACGTAGCTTGCAATCGGATCAAGCTTGACCGTTAGGCCAT"
@@ -346,12 +349,13 @@ TEST(SamWriter, PairedGoldenFile) {
   ASSERT_TRUE(golden.good()) << "missing tests/golden/paired_end.sam";
   std::stringstream want;
   want << golden.rdbuf();
+  std::string dump_path = "(not dumped)";
   if (out.str() != want.str()) {
-    std::ofstream dump("/tmp/pim_paired_end_actual.sam");
+    dump_path = test_util::make_temp_dir() + "/paired_end_actual.sam";
+    std::ofstream dump(dump_path);
     dump << out.str();
   }
-  EXPECT_EQ(out.str(), want.str())
-      << "actual output dumped to /tmp/pim_paired_end_actual.sam";
+  EXPECT_EQ(out.str(), want.str()) << "actual output dumped to " << dump_path;
 }
 
 TEST(EstimateMapq, Heuristic) {

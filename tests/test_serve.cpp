@@ -37,6 +37,7 @@
 #include "src/obs/request_trace.h"
 #include "src/serve/index_cache.h"
 #include "src/util/rng.h"
+#include "tests/temp_dir.h"
 
 namespace pim::serve {
 namespace {
@@ -1219,6 +1220,7 @@ struct MultiRefFixture {
     index::FmIndex fm;
     std::vector<std::vector<genome::Base>> reads;
   };
+  test_util::TempDir dir;  ///< Holds every ref's artifact.
   std::vector<Ref> refs;
   align::AlignerOptions aligner;
 
@@ -1227,7 +1229,7 @@ struct MultiRefFixture {
     for (std::size_t i = 0; i < count; ++i) {
       Ref r;
       r.id = "genome" + std::to_string(i);
-      r.path = "/tmp/pim_serve_test_" + r.id + ".index";
+      r.path = dir.file(r.id + ".index");
       genome::SyntheticGenomeSpec spec;
       spec.length = 20000;
       spec.seed = 500 + i;

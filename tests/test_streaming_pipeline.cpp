@@ -15,6 +15,7 @@
 #include "src/align/sharded_engine.h"
 #include "src/genome/synthetic_genome.h"
 #include "src/readsim/read_simulator.h"
+#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
@@ -322,8 +323,8 @@ TEST(SamWriterChunk, BaseIndexKeepsGlobalReadNumbering) {
 }
 
 // Golden pin of the whole streaming trip (deterministic workload): catches
-// unintended format or ordering drift. Regenerate by copying
-// /tmp/pim_streaming_actual.sam (dumped on mismatch) over
+// unintended format or ordering drift. Regenerate by copying the actual
+// output (dumped on mismatch; the failure message names the file) over
 // tests/golden/streaming_end_to_end.sam and reviewing the diff.
 TEST(StreamingPipeline, GoldenFile) {
   const auto& f = fixture();
@@ -334,15 +335,17 @@ TEST(StreamingPipeline, GoldenFile) {
                        "/tests/golden/streaming_end_to_end.sam");
   std::stringstream want;
   if (golden.good()) want << golden.rdbuf();
+  std::string dump_path = "(not dumped)";
   if (!golden.good() || sam != want.str()) {
-    std::ofstream dump("/tmp/pim_streaming_actual.sam");
+    dump_path = test_util::make_temp_dir() + "/streaming_actual.sam";
+    std::ofstream dump(dump_path);
     dump << sam;
   }
   ASSERT_TRUE(golden.good())
       << "missing tests/golden/streaming_end_to_end.sam; actual output "
-         "dumped to /tmp/pim_streaming_actual.sam";
-  EXPECT_EQ(sam, want.str())
-      << "actual output dumped to /tmp/pim_streaming_actual.sam";
+         "dumped to "
+      << dump_path;
+  EXPECT_EQ(sam, want.str()) << "actual output dumped to " << dump_path;
 }
 
 }  // namespace
