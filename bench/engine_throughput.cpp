@@ -53,6 +53,7 @@
 #include "src/genome/synthetic_genome.h"
 #include "src/pim/pim_fleet.h"
 #include "src/util/rng.h"
+#include "src/util/temp_dir.h"
 
 namespace {
 
@@ -168,7 +169,9 @@ int main(int argc, char** argv) {
   std::printf("=== Streaming pipeline: FASTQ -> SAM end to end, %zu reads "
               "(JSON lines) ===\n\n",
               kMax);
-  const std::string fastq_path = "/tmp/engine_throughput_stream.fastq";
+  // The stream FASTQ lives in a per-run scratch directory removed at exit.
+  const pim::util::TempDir scratch("engine_throughput");
+  const std::string fastq_path = scratch.file("stream.fastq");
   write_workload_fastq(w, kMax, fastq_path);
 
   double stream_qps = 0.0;
@@ -220,7 +223,6 @@ int main(int argc, char** argv) {
                 mat_batch.size(), mat_qps, mat_rss_kb,
                 writer.records_written());
   }
-  std::remove(fastq_path.c_str());
   const bool stream_ok = stream_hits == mat_hits;
   std::printf("{\"bench\":\"streaming_rss\",\"path\":\"ratio\","
               "\"rss_ratio\":%.2f,\"throughput_ratio\":%.2f,"
@@ -421,7 +423,7 @@ int main(int argc, char** argv) {
     topts.double_buffer = double_buffer;
     topts.config = cfg;
     pim::hw::PimChipFleet tf(w.fm, timing, 2, options, {},
-                             pim::hw::AddPlacement::kMethodI, {}, topts);
+                             pim::hw::AddPlacement::kMethodI, nullptr, topts);
     pim::align::BatchResult r1;
     tf.engine().align_batch(pim_batch, r1);
     pim::align::BatchResult r2;

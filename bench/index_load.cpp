@@ -24,6 +24,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,7 @@
 #include "src/index/index_io.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
+#include "src/util/temp_dir.h"
 
 namespace {
 
@@ -164,8 +166,13 @@ int main(int argc, char** argv) {
   const std::uint64_t genome_bp =
       !positional.empty() ? std::strtoull(positional[0].c_str(), nullptr, 10)
                           : 8'000'000ULL;
+  // The default artifact goes to a per-run scratch directory removed at
+  // exit (the forked children _exit, so only this process removes it); an
+  // explicit path is the caller's to keep.
+  std::optional<util::TempDir> scratch;
+  if (positional.size() < 2) scratch.emplace("index_load");
   const std::string artifact =
-      positional.size() > 1 ? positional[1] : "/tmp/pim_index_load_bench.index";
+      scratch ? scratch->file("bench.index") : positional[1];
   const std::string fasta_path = artifact + ".fasta";
 
   // Setup (unmeasured): synthesize the reference, persist FASTA + artifact.

@@ -43,6 +43,7 @@
 #include "src/serve/index_cache.h"
 #include "src/serve/service.h"
 #include "src/util/rng.h"
+#include "src/util/temp_dir.h"
 
 namespace {
 
@@ -109,6 +110,9 @@ int run_multi_reference_phase(pim::obs::MetricsRegistry& registry,
               "---\n");
   const std::vector<std::string> ids = {"chrA", "chrB", "chrC"};
   std::vector<genome::PackedSequence> references;
+  // The artifacts live in a per-run scratch directory; declared before the
+  // cache, it outlives every (re)load and is removed when the phase ends.
+  const util::TempDir scratch("align_server_demo");
   serve::IndexCacheOptions cache_options;
   cache_options.max_resident = 2;
   cache_options.metrics = &registry;
@@ -120,7 +124,7 @@ int run_multi_reference_phase(pim::obs::MetricsRegistry& registry,
     references.push_back(genome::generate_reference(spec));
     const auto fm =
         index::FmIndex::build(references[r], {.bucket_width = 128});
-    const std::string path = "/tmp/pim_serve_" + ids[r] + ".index";
+    const std::string path = scratch.file(ids[r] + ".index");
     index::save_index_file(path, fm, references[r],
                            {{ids[r], 0, references[r].size()}});
     cache.add_reference(ids[r], path);

@@ -3,10 +3,10 @@
 // into double-buffered ReadBatch generations while the engine aligns the
 // previous one, and every completed chunk is written to the SAM file as
 // soon as it (and all earlier chunks) finish. Peak memory is two batch
-// generations, not the dataset. With shards >= 2 each generation fans out
-// across N engine shards (simulated chips) behind ShardedEngine with
-// measured-load rebalancing — the SAM path is unchanged because the sharded
-// engine streams through the same chunk seam.
+// generations, not the dataset. With shards >= 2 each generation splits
+// uniformly across N engine shards (simulated chips) behind ShardedEngine —
+// the SAM path is unchanged because the sharded engine streams through the
+// same chunk seam.
 //
 //   ./fastq_to_sam ref.fasta reads.fastq out.sam [threads] [max_diffs]
 //                  [shards] [--metrics=PATH] [--pim-chips=N]
@@ -29,8 +29,10 @@
 //
 // With no arguments, runs a self-contained demo: generates a synthetic
 // reference and ART-like FASTQ reads (with quality ramp), writes them to
-// temporary files, aligns with the multithreaded two-stage pipeline, and
-// prints the first SAM records plus summary statistics.
+// pim_aligner_demo_{ref.fasta,reads.fastq} in the current directory, aligns
+// them across 2 shards into pim_aligner_demo.sam (metrics into
+// pim_aligner_demo_metrics.jsonl unless --metrics=PATH is given), and prints
+// the first SAM records plus summary statistics.
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -142,8 +144,7 @@ int run(const std::string& ref_path, const std::string& fastq_path,
     // log should say so, not silently overwrite its oldest events.
     trace_log.install_metrics(registry);
   }
-  align::ShardedOptions shard_opts{.rebalance = true};
-  if (observed) shard_opts.metrics = &registry;
+  obs::MetricsRegistry* const shard_metrics = observed ? &registry : nullptr;
 
   align::StreamingStats stats;
   if (pim_chips >= 1) {
@@ -152,7 +153,7 @@ int run(const std::string& ref_path, const std::string& fastq_path,
     // SAM writer exactly like the software path.
     const hw::TimingEnergyModel timing;
     hw::PimChipFleet fleet(*fm, timing, pim_chips, options, {},
-                           hw::AddPlacement::kMethodI, shard_opts);
+                           hw::AddPlacement::kMethodI, shard_metrics);
     stats = align::StreamingPipeline(fleet.engine(), sopts).run(reader,
                                                                 writer);
     if (observed) fleet.publish_metrics(registry);
@@ -166,13 +167,13 @@ int run(const std::string& ref_path, const std::string& fastq_path,
     }
   } else if (shards >= 2) {
     // Multi-chip execution behind the same engine seam: one software engine
-    // shard per simulated chip, each generation fanned across chip threads
-    // with boundaries rebalanced from the measured wall-time skew.
+    // shard per simulated chip, each generation split uniformly across chip
+    // threads.
     std::vector<std::unique_ptr<align::AlignmentEngine>> chips;
     for (std::size_t s = 0; s < shards; ++s) {
       chips.push_back(std::make_unique<align::SoftwareEngine>(*fm, options));
     }
-    const align::ShardedEngine engine(std::move(chips), shard_opts);
+    const align::ShardedEngine engine(std::move(chips), shard_metrics);
     stats = align::StreamingPipeline(engine, sopts).run(reader, writer);
     std::printf("sharded across %zu chips (last generation):\n", shards);
     for (const auto& s : engine.shard_stats()) {
@@ -224,7 +225,7 @@ int run_demo(const std::string& metrics_path, std::size_t pim_chips) {
   gspec.length = 120000;
   gspec.seed = 77;
   const auto reference = genome::generate_reference(gspec);
-  genome::write_fasta_file("/tmp/pim_aligner_demo_ref.fasta",
+  genome::write_fasta_file("pim_aligner_demo_ref.fasta",
                            {{"demo_ref synthetic", reference, 0}});
 
   readsim::ReadSimSpec rspec;
@@ -236,20 +237,19 @@ int run_demo(const std::string& metrics_path, std::size_t pim_chips) {
   rspec.emit_qualities = true;  // real FASTQ qualities
   rspec.seed = 99;
   const auto set = readsim::ReadSimulator(rspec).generate(reference);
-  genome::write_fastq_file("/tmp/pim_aligner_demo_reads.fastq",
+  genome::write_fastq_file("pim_aligner_demo_reads.fastq",
                            readsim::to_fastq(set));
 
-  const int rc = run("/tmp/pim_aligner_demo_ref.fasta",
-                     "/tmp/pim_aligner_demo_reads.fastq",
-                     "/tmp/pim_aligner_demo.sam", 4, 2, /*shards=*/2,
-                     metrics_path.empty()
-                         ? "/tmp/pim_aligner_demo_metrics.jsonl"
-                         : metrics_path,
+  const int rc = run("pim_aligner_demo_ref.fasta",
+                     "pim_aligner_demo_reads.fastq", "pim_aligner_demo.sam", 4,
+                     2, /*shards=*/2,
+                     metrics_path.empty() ? "pim_aligner_demo_metrics.jsonl"
+                                          : metrics_path,
                      pim_chips, /*index_path=*/"", /*save_index_path=*/"");
   if (rc != 0) return rc;
 
   std::printf("\nfirst SAM lines:\n");
-  std::ifstream sam("/tmp/pim_aligner_demo.sam");
+  std::ifstream sam("pim_aligner_demo.sam");
   std::string line;
   for (int i = 0; i < 8 && std::getline(sam, line); ++i) {
     std::printf("  %s\n", line.c_str());

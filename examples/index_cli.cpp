@@ -7,6 +7,9 @@
 //   ./index_cli align <index.pim> <reads.fastq> <out.sam>
 //   ./index_cli                                        # self-contained demo
 //
+// The demo writes pim_cli_{ref.fasta,reads.fastq,.index,.sam} in the
+// current directory.
+//
 // `build` runs the paper's Fig. 2 pre-computation (SA-IS, BWT, Marker
 // Table, SA) over the concatenation of *all* FASTA records and persists a
 // v2 artifact including the per-chromosome table; `info` inspects the
@@ -162,24 +165,22 @@ int demo() {
   gspec.length = 80000;
   gspec.seed = 31;
   const auto reference = genome::generate_reference(gspec);
-  genome::write_fasta_file("/tmp/pim_cli_ref.fasta",
-                           {{"demo", reference, 0}});
+  genome::write_fasta_file("pim_cli_ref.fasta", {{"demo", reference, 0}});
   readsim::ReadSimSpec rspec;
   rspec.read_length = 80;
   rspec.num_reads = 300;
   rspec.emit_qualities = true;
   rspec.seed = 32;
   const auto set = readsim::ReadSimulator(rspec).generate(reference);
-  genome::write_fastq_file("/tmp/pim_cli_reads.fastq", readsim::to_fastq(set));
+  genome::write_fastq_file("pim_cli_reads.fastq", readsim::to_fastq(set));
 
-  int rc = cmd_build("/tmp/pim_cli_ref.fasta", "/tmp/pim_cli.index");
+  int rc = cmd_build("pim_cli_ref.fasta", "pim_cli.index");
   if (rc != 0) return rc;
-  rc = cmd_info("/tmp/pim_cli.index");
+  rc = cmd_info("pim_cli.index");
   if (rc != 0) return rc;
-  rc = cmd_verify("/tmp/pim_cli.index");
+  rc = cmd_verify("pim_cli.index");
   if (rc != 0) return rc;
-  return cmd_align("/tmp/pim_cli.index", "/tmp/pim_cli_reads.fastq",
-                   "/tmp/pim_cli.sam");
+  return cmd_align("pim_cli.index", "pim_cli_reads.fastq", "pim_cli.sam");
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 //
 //   ./sam_to_vcf <ref.fasta> <in.sam> <out.vcf> [contig]
 //   ./sam_to_vcf                     # self-contained demo
+//
+// The demo writes pim_s2v_{ref.fasta,.sam,.vcf} in the current directory.
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -74,8 +76,7 @@ int demo() {
     donor.set(pos, alt);
     ++planted;
   }
-  genome::write_fasta_file("/tmp/pim_s2v_ref.fasta",
-                           {{"demo", reference, 0}});
+  genome::write_fasta_file("pim_s2v_ref.fasta", {{"demo", reference, 0}});
 
   readsim::ReadSimSpec rspec;
   rspec.read_length = 100;
@@ -96,15 +97,14 @@ int demo() {
   const align::ReadBatch batch = builder.build();
   align::BatchResult results;
   engine.align_batch(batch, results);
-  std::ofstream sam("/tmp/pim_s2v.sam");
+  std::ofstream sam("pim_s2v.sam");
   align::SamWriter writer(sam, "demo", reference);
   writer.write_header();
   writer.write_batch(batch, results);
   sam.close();
-  std::printf("planted %zu SNVs; aligned %zu reads -> /tmp/pim_s2v.sam\n",
+  std::printf("planted %zu SNVs; aligned %zu reads -> pim_s2v.sam\n",
               planted, set.reads.size());
-  return run("/tmp/pim_s2v_ref.fasta", "/tmp/pim_s2v.sam",
-             "/tmp/pim_s2v.vcf", "demo");
+  return run("pim_s2v_ref.fasta", "pim_s2v.sam", "pim_s2v.vcf", "demo");
 }
 
 }  // namespace

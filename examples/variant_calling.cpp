@@ -97,10 +97,10 @@ int main() {
   std::printf("\n%s", out.render().c_str());
 
   // 5. Emit VCF.
-  std::ofstream vcf("/tmp/pim_aligner_demo.vcf");
+  std::ofstream vcf("pim_aligner_demo.vcf");
   varcall::write_vcf_header(vcf, "demo_ref", reference.size());
   varcall::write_vcf_records(vcf, "demo_ref", calls);
-  std::printf("\nwrote %zu VCF records -> /tmp/pim_aligner_demo.vcf\n",
+  std::printf("\nwrote %zu VCF records -> pim_aligner_demo.vcf\n",
               calls.size());
 
   std::printf("\nfirst calls:\n");

@@ -8,6 +8,9 @@
 // tally. This module converts those measurements into model configs, so
 // chip-scale projections can be driven by observed load instead of assumed
 // averages, and the skew across chips becomes visible in the projections.
+// Reads split uniformly over identical chips (ShardedEngine::partition), so
+// the skew is in per-read demand — hits, LFM calls, wall time — while read
+// counts differ by at most one.
 #pragma once
 
 #include <cstdint>
@@ -55,17 +58,6 @@ std::vector<MeasuredChipLoad> measured_loads(
 /// after engine().align_batch (and after a reset_stats() at batch entry so
 /// the tallies cover exactly that batch).
 std::vector<MeasuredChipLoad> measured_loads(const hw::PimChipFleet& fleet);
-
-/// Proportional shard reweighting from the measured wall-time skew of a
-/// sharded run: weight_c ∝ reads_c / wall_ms_c (measured throughput), so
-/// the next batch's boundaries equalize expected wall time instead of read
-/// counts. Chips without a usable measurement (no reads, or wall below
-/// timer resolution) get the mean measured throughput. Returns normalized
-/// weights (sum 1) for align::ShardedEngine::set_shard_weights — or uniform
-/// weights when nothing was measured. ShardedOptions::rebalance applies the
-/// same reweighting automatically between streaming batches.
-std::vector<double> rebalanced_shard_weights(
-    const std::vector<MeasuredChipLoad>& loads);
 
 /// Chip-sim config whose per-read service demand and horizon come from the
 /// measured chip instead of the assumed averages. Fields of `base` the

@@ -53,13 +53,7 @@ std::optional<AlignmentHit> AlignmentResult::best() const {
 void BatchResult::add_read(AlignmentStage stage,
                            std::span<const AlignmentHit> hits) {
   stages_.push_back(stage);
-  std::size_t kept = hits.size();
-  if (best_hit_only_ && hits.size() > 1) {
-    hits_.push_back(*std::min_element(hits.begin(), hits.end(), better_hit));
-    kept = 1;
-  } else {
-    hits_.insert(hits_.end(), hits.begin(), hits.end());
-  }
+  hits_.insert(hits_.end(), hits.begin(), hits.end());
   hit_begin_.push_back(hits_.size());
   ++stats_.reads_total;
   switch (stage) {
@@ -67,7 +61,7 @@ void BatchResult::add_read(AlignmentStage stage,
     case AlignmentStage::kInexact: ++stats_.reads_inexact; break;
     case AlignmentStage::kUnaligned: ++stats_.reads_unaligned; break;
   }
-  stats_.hits_total += kept;
+  stats_.hits_total += hits.size();
 }
 
 void BatchResult::append(const BatchResult& chunk) {
@@ -124,8 +118,7 @@ void AlignmentEngine::align_batch(const ReadBatch& batch,
 
 EngineStats AlignmentEngine::align_batch_chunked(const ReadBatch& batch,
                                                  std::size_t chunk_size,
-                                                 const ChunkSink& sink,
-                                                 bool best_hit_only) const {
+                                                 const ChunkSink& sink) const {
   const auto t0 = std::chrono::steady_clock::now();
   if (chunk_size == 0) {
     chunk_size = std::max<std::size_t>(
@@ -135,7 +128,6 @@ EngineStats AlignmentEngine::align_batch_chunked(const ReadBatch& batch,
   // One chunk result recycled across iterations: clear() keeps the arena
   // capacity, so a steady-state pass allocates nothing per chunk.
   BatchResult chunk;
-  chunk.set_best_hit_only(best_hit_only);
   for (std::size_t begin = 0; begin < batch.size(); begin += chunk_size) {
     const std::size_t end = std::min(begin + chunk_size, batch.size());
     chunk.clear();
@@ -154,7 +146,6 @@ EngineStats AlignmentEngine::align_batch_chunked(const ReadBatch& batch,
 
 void SoftwareEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                  std::size_t end, BatchResult& out) const {
-  if (options_.best_hit_only) out.set_best_hit_only(true);
   const FmSearchBackend backend{index_};
   detail::TwoStageScratch scratch;
   for (std::size_t i = begin; i < end; ++i) {

@@ -15,7 +15,9 @@
 //
 // BatchResult is arena-backed like ReadBatch: all hits of a batch live in
 // one contiguous vector with per-read extents, so the engine path performs
-// O(1) heap allocations per batch. EngineStats carries the per-stage
+// O(1) heap allocations per batch. It keeps every hit the engine reports
+// (at most AlignerOptions::max_hits per read); a caller that wants only the
+// primary placement reads best(i). EngineStats carries the per-stage
 // counters of every run.
 #pragma once
 
@@ -79,18 +81,8 @@ class BatchResult {
   void clear();
   void reserve(std::size_t reads, std::size_t expected_hits);
 
-  /// Best-hit-only mode: add_read keeps only the best (fewest-diff,
-  /// leftmost) hit per read, shrinking the hit arena for workloads that
-  /// never inspect secondary hits. Configuration, not content: it survives
-  /// clear(). append() does NOT re-truncate already-built chunks, so paths
-  /// that stitch chunk results (parallel scheduler, ShardedEngine) propagate
-  /// the flag to their private chunks.
-  void set_best_hit_only(bool enabled) { best_hit_only_ = enabled; }
-  bool best_hit_only() const { return best_hit_only_; }
-
   /// Append the next read's outcome (reads arrive in order). Updates the
-  /// stage/hit counters in stats(). In best-hit-only mode only the best hit
-  /// of `hits` is stored (and counted in hits_total).
+  /// stage/hit counters in stats().
   void add_read(AlignmentStage stage, std::span<const AlignmentHit> hits);
   /// Stitch a chunk produced by a parallel worker onto this result.
   void append(const BatchResult& chunk);
@@ -121,7 +113,6 @@ class BatchResult {
   std::vector<std::uint64_t> hit_begin_;  ///< size()+1 extents into hits_.
   std::vector<AlignmentHit> hits_;
   EngineStats stats_;
-  bool best_hit_only_ = false;
 };
 
 /// A completed slice of a batch's results, handed to a ChunkSink as soon as
@@ -176,8 +167,7 @@ class AlignmentEngine {
   /// version for thread-safe engines. Returns the merged stats of the run.
   virtual EngineStats align_batch_chunked(const ReadBatch& batch,
                                           std::size_t chunk_size,
-                                          const ChunkSink& sink,
-                                          bool best_hit_only = false) const;
+                                          const ChunkSink& sink) const;
 };
 
 /// The two-stage FM pipeline (Algorithms 1 and 2) as an engine. Stateless

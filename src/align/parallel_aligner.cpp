@@ -57,8 +57,7 @@ struct SchedMetrics {
 EngineStats align_batch_parallel_chunked(const AlignmentEngine& engine,
                                          const ReadBatch& batch,
                                          const ChunkSink& sink,
-                                         ParallelOptions options,
-                                         bool best_hit_only) {
+                                         ParallelOptions options) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t num_threads =
       resolve_threads(options.num_threads, batch.size());
@@ -66,8 +65,7 @@ EngineStats align_batch_parallel_chunked(const AlignmentEngine& engine,
   if (!engine.thread_safe() || num_threads == 1 || batch.size() == 0) {
     // Serial engines deliver through their own chunked path (ShardedEngine
     // overrides it with per-shard completion forwarding).
-    return engine.align_batch_chunked(batch, options.chunk_size, sink,
-                                      best_hit_only);
+    return engine.align_batch_chunked(batch, options.chunk_size, sink);
   }
 
   const std::size_t chunk_size =
@@ -123,7 +121,6 @@ EngineStats align_batch_parallel_chunked(const AlignmentEngine& engine,
       const std::size_t end = std::min(begin + chunk_size, batch.size());
       const auto a0 = metrics.installed ? Clock::now() : Clock::time_point{};
       try {
-        chunks[c].set_best_hit_only(best_hit_only);
         chunks[c].reserve(end - begin, (end - begin) * 2);
         engine.align_range(batch, begin, end, chunks[c]);
       } catch (...) {
@@ -217,13 +214,12 @@ void align_batch_parallel(const AlignmentEngine& engine,
   // The materializing front-end is just a sink over the streaming scheduler:
   // chunks arrive in index order, so appending them reproduces the serial
   // layout bit for bit.
-  const bool best_hit_only = out.best_hit_only();
   out.clear();
   out.reserve(batch.size(), batch.size() * 2);
   const EngineStats stats = align_batch_parallel_chunked(
       engine, batch,
       [&out](const BatchResultChunk& chunk) { out.append(*chunk.result); },
-      options, best_hit_only);
+      options);
   out.stats().batches = stats.batches;
   out.stats().wall_ms = stats.wall_ms;
   out.stats().result_bytes = out.memory_bytes();

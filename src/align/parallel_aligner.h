@@ -63,7 +63,6 @@ void align_batch_parallel(const AlignmentEngine& engine,
 EngineStats align_batch_parallel_chunked(const AlignmentEngine& engine,
                                          const ReadBatch& batch,
                                          const ChunkSink& sink,
-                                         ParallelOptions options = {},
-                                         bool best_hit_only = false);
+                                         ParallelOptions options = {});
 
 }  // namespace pim::align

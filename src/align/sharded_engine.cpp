@@ -1,14 +1,11 @@
 #include "src/align/sharded_engine.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <string>
 #include <condition_variable>
 #include <exception>
-#include <functional>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -31,154 +28,67 @@ void validate(const std::vector<const AlignmentEngine*>& shards) {
 
 ShardedEngine::ShardedEngine(
     std::vector<std::unique_ptr<AlignmentEngine>> shards,
-    ShardedOptions options)
-    : owned_(std::move(shards)), options_(options) {
+    obs::MetricsRegistry* metrics)
+    : owned_(std::move(shards)) {
   shards_.reserve(owned_.size());
   for (const auto& engine : owned_) shards_.push_back(engine.get());
   validate(shards_);
-  weights_.assign(shards_.size(), 1.0 / static_cast<double>(shards_.size()));
-  init_metrics();
+  init_metrics(metrics);
 }
 
 ShardedEngine::ShardedEngine(std::vector<const AlignmentEngine*> shards,
-                             ShardedOptions options)
-    : shards_(std::move(shards)), options_(options) {
+                             obs::MetricsRegistry* metrics)
+    : shards_(std::move(shards)) {
   validate(shards_);
-  weights_.assign(shards_.size(), 1.0 / static_cast<double>(shards_.size()));
-  init_metrics();
+  init_metrics(metrics);
 }
 
-void ShardedEngine::init_metrics() {
-  if (options_.metrics == nullptr) return;
+void ShardedEngine::init_metrics(obs::MetricsRegistry* metrics) {
+  if (metrics == nullptr) return;
   // Registration up front (construction is single-threaded); the per-run
   // publishes are lock-free counter adds and atomic gauge stores.
   series_.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const std::string prefix = "shard." + std::to_string(s) + ".";
     ShardSeries series;
-    series.reads = options_.metrics->counter(prefix + "reads");
-    series.hits = options_.metrics->counter(prefix + "hits");
-    series.wall_ms = options_.metrics->gauge(prefix + "wall_ms");
-    series.reads_per_ms = options_.metrics->gauge(prefix + "reads_per_ms");
-    series.weight = options_.metrics->gauge(prefix + "weight");
+    series.reads = metrics->counter(prefix + "reads");
+    series.hits = metrics->counter(prefix + "hits");
+    series.wall_ms = metrics->gauge(prefix + "wall_ms");
+    series.reads_per_ms = metrics->gauge(prefix + "reads_per_ms");
     series_.push_back(series);
   }
-  publish_weights();
-}
-
-void ShardedEngine::publish_weights() const {
-  for (std::size_t s = 0; s < series_.size(); ++s) {
-    series_[s].weight.set(weights_[s]);
-  }
-}
-
-std::pair<std::size_t, std::size_t> ShardedEngine::shard_range(
-    std::size_t reads, std::size_t num_shards, std::size_t s) {
-  // Balanced contiguous split: the first (reads % num_shards) shards take
-  // one extra read, so shard sizes differ by at most one.
-  const std::size_t base = reads / num_shards;
-  const std::size_t extra = reads % num_shards;
-  const std::size_t begin = s * base + std::min(s, extra);
-  const std::size_t end = begin + base + (s < extra ? 1 : 0);
-  return {begin, end};
-}
-
-void ShardedEngine::set_shard_weights(std::vector<double> weights) {
-  if (weights.size() != shards_.size()) {
-    throw std::invalid_argument("ShardedEngine: weight count != shard count");
-  }
-  double total = 0.0;
-  for (const double w : weights) {
-    if (!(w > 0.0)) {
-      throw std::invalid_argument("ShardedEngine: weights must be positive");
-    }
-    total += w;
-  }
-  for (double& w : weights) w /= total;
-  weights_ = std::move(weights);
-  publish_weights();
 }
 
 std::vector<std::size_t> ShardedEngine::partition(std::size_t reads) const {
+  // Round half up in integers: floor(reads*s/num + 1/2).
   const std::size_t num = shards_.size();
-  std::vector<std::size_t> bounds(num + 1, 0);
-  double total = 0.0;
-  for (const double w : weights_) total += w;
-  double cum = 0.0;
-  for (std::size_t s = 0; s + 1 < num; ++s) {
-    cum += weights_[s];
-    const auto b = static_cast<std::size_t>(
-        std::llround(static_cast<double>(reads) * (cum / total)));
-    bounds[s + 1] = std::clamp(b, bounds[s], reads);
+  std::vector<std::size_t> bounds(num + 1);
+  for (std::size_t s = 0; s <= num; ++s) {
+    bounds[s] = (2 * reads * s + num) / (2 * num);
   }
-  bounds[num] = reads;
   return bounds;
 }
 
-void ShardedEngine::update_weights() const {
-  const std::size_t num = shards_.size();
-  // Target weight ∝ measured throughput (reads/ms). Shards without a usable
-  // measurement (no reads routed, or wall below timer resolution) get the
-  // mean measured throughput so they neither starve nor balloon.
-  std::vector<double> tput(num, 0.0);
-  double sum = 0.0;
-  std::size_t measured = 0;
-  if (!series_.empty()) {
-    // S40: the rebalance math reads the published "shard.<i>.reads_per_ms"
-    // series back from the registry — the registry is the one data path
-    // for measured load, not a side channel next to it. run_shards wrote
-    // these gauges from exactly the tallies shard_stats_ carries, so the
-    // two sources are equal by construction.
-    for (std::size_t s = 0; s < num; ++s) {
-      const double t = series_[s].reads_per_ms.value();
-      if (t > 0.0) {
-        tput[s] = t;
-        sum += t;
-        ++measured;
-      }
-    }
-  } else {
-    for (const auto& s : shard_stats_) {
-      if (s.shard < num && s.reads > 0 && s.wall_ms > 1e-6) {
-        tput[s.shard] = static_cast<double>(s.reads) / s.wall_ms;
-        sum += tput[s.shard];
-        ++measured;
-      }
-    }
-  }
-  if (measured == 0) return;
-  const double mean = sum / static_cast<double>(measured);
-  const double alpha = std::clamp(options_.rebalance_smoothing, 0.0, 1.0);
-  const double target_total = sum + mean * static_cast<double>(num - measured);
-  // A floor of 10% of a uniform share keeps a transiently slow shard from
-  // being starved out of future measurements entirely.
-  const double floor_w = 0.1 / static_cast<double>(num);
-  double total = 0.0;
-  for (std::size_t s = 0; s < num; ++s) {
-    const double target = (tput[s] > 0.0 ? tput[s] : mean) / target_total;
-    weights_[s] =
-        std::max(floor_w, (1.0 - alpha) * weights_[s] + alpha * target);
-    total += weights_[s];
-  }
-  for (double& w : weights_) w /= total;
-  publish_weights();
-}
-
-double ShardedEngine::run_shards(
-    const ReadBatch& batch, std::size_t begin,
-    std::vector<std::size_t> const& bounds, std::vector<BatchResult>& chunks,
-    const ChunkSink* sink) const {
+EngineStats ShardedEngine::fan_out(const ReadBatch& batch, std::size_t begin,
+                                   std::size_t end,
+                                   const ChunkSink& sink) const {
   using Clock = std::chrono::steady_clock;
   const std::size_t num = shards_.size();
-  const std::size_t reads = bounds.back();
+  // Reset the per-shard breakdown at call entry, not mid-fan-out: a reused
+  // engine never reports a previous batch's load, even if a shard throws
+  // before any stats land.
+  shard_stats_.assign(num, ShardStats{});
+  const auto bounds = partition(end - begin);
+  std::vector<BatchResult> chunks(num);
+  EngineStats total;
 
   auto run_shard = [&](std::size_t s) {
-    const std::size_t lo = bounds[s];
-    const std::size_t hi = bounds[s + 1];
+    const std::size_t lo = begin + bounds[s];
+    const std::size_t hi = begin + bounds[s + 1];
     const auto t0 = Clock::now();
     if (hi > lo) {
       chunks[s].reserve(hi - lo, (hi - lo) * 2);
-      shards_[s]->align_range(batch, begin + lo, begin + hi, chunks[s]);
+      shards_[s]->align_range(batch, lo, hi, chunks[s]);
     }
     const auto t1 = Clock::now();
     ShardStats& stats = shard_stats_[s];
@@ -207,15 +117,15 @@ double ShardedEngine::run_shards(
   // freeing each forwarded chunk keeps resident results bounded by the
   // not-yet-forwarded shards instead of the whole batch.
   auto forward = [&](std::size_t s) {
-    if (sink != nullptr && bounds[s + 1] > bounds[s]) {
-      (*sink)(BatchResultChunk{&batch, bounds[s], bounds[s + 1], &chunks[s],
-                               bounds[s]});
-      chunks[s] = BatchResult();  // free the forwarded arena
-    }
+    if (bounds[s + 1] == bounds[s]) return;
+    const std::size_t lo = begin + bounds[s];
+    sink(BatchResultChunk{&batch, lo, begin + bounds[s + 1], &chunks[s], lo});
+    total.merge(chunks[s].stats());
+    ++total.chunks;
+    chunks[s] = BatchResult();  // free the forwarded arena
   };
 
-  double wait_ms = 0.0;
-  if (options_.parallel && num > 1 && reads > 1) {
+  if (num > 1 && end - begin > 1) {
     std::mutex mu;
     std::condition_variable cv;
     std::vector<char> done(num, 0);
@@ -246,9 +156,9 @@ double ShardedEngine::run_shards(
         if (done[s] == 0) {
           const auto w0 = Clock::now();
           cv.wait(lk, [&] { return done[s] != 0; });
-          wait_ms += std::chrono::duration<double, std::milli>(Clock::now() -
-                                                               w0)
-                         .count();
+          total.stall_ms +=
+              std::chrono::duration<double, std::milli>(Clock::now() - w0)
+                  .count();
         }
       }
       if (errors[s]) break;  // join everything, then rethrow in shard order
@@ -265,56 +175,31 @@ double ShardedEngine::run_shards(
     }
     if (forward_error) std::rethrow_exception(forward_error);
   } else {
-    // Serial fan-out never blocks on a predecessor.
+    // One shard or at most one read: nothing to overlap, and the serial
+    // fan-out never blocks on a predecessor.
     for (std::size_t s = 0; s < num; ++s) {
       run_shard(s);
       forward(s);
     }
   }
-  return wait_ms;
+  on_generation(batch, begin, bounds);
+  return total;
 }
 
 void ShardedEngine::align_range(const ReadBatch& batch, std::size_t begin,
                                 std::size_t end, BatchResult& out) const {
-  const std::size_t num = shards_.size();
-  // Reset the per-shard breakdown at call entry, not mid-fan-out: a reused
-  // engine never reports a previous batch's load, even if partitioning or
-  // a shard throws before any stats land.
-  shard_stats_.assign(num, ShardStats{});
-  const auto bounds = partition(end - begin);
-
-  std::vector<BatchResult> chunks(num);
-  for (auto& chunk : chunks) chunk.set_best_hit_only(out.best_hit_only());
-  const double stall_ms = run_shards(batch, begin, bounds, chunks, nullptr);
-
-  // Stitch in shard order == read order; BatchResult::append merges the
-  // per-shard EngineStats associatively, so the combined counters equal an
-  // unsharded run over the same range.
-  for (const auto& chunk : chunks) out.append(chunk);
-  out.stats().stall_ms += stall_ms;
-  if (options_.rebalance) update_weights();
+  const EngineStats stats =
+      fan_out(batch, begin, end, [&out](const BatchResultChunk& chunk) {
+        out.append(*chunk.result);
+      });
+  out.stats().stall_ms += stats.stall_ms;
 }
 
 EngineStats ShardedEngine::align_batch_chunked(const ReadBatch& batch,
                                                std::size_t /*chunk_size*/,
-                                               const ChunkSink& sink,
-                                               bool best_hit_only) const {
+                                               const ChunkSink& sink) const {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t num = shards_.size();
-  shard_stats_.assign(num, ShardStats{});
-  const auto bounds = partition(batch.size());
-
-  std::vector<BatchResult> chunks(num);
-  for (auto& chunk : chunks) chunk.set_best_hit_only(best_hit_only);
-  EngineStats total;
-  const ChunkSink forward = [&](const BatchResultChunk& chunk) {
-    sink(chunk);
-    total.merge(chunk.result->stats());
-    ++total.chunks;
-  };
-  total.stall_ms += run_shards(batch, 0, bounds, chunks, &forward);
-  if (options_.rebalance) update_weights();
-
+  EngineStats total = fan_out(batch, 0, batch.size(), sink);
   const auto t1 = std::chrono::steady_clock::now();
   total.batches = 1;
   total.wall_ms =

@@ -5,13 +5,13 @@
 // across the platform. ShardedEngine is that aggregation seam on the host
 // side: it implements AlignmentEngine over N backend engine *instances*
 // (one simulated chip each — see pim::hw::PimChipFleet — or N software
-// engines as the zero-hardware baseline), partitions a ReadBatch into
-// contiguous per-shard ranges, fans the ranges out, and stitches the
-// per-shard BatchResults back in read order. EngineStats merge
-// associatively at the stitch, so the merged counters equal an unsharded
-// run by construction — asserted in tests/test_engine.cpp as
-// "sharded(N) == unsharded", the multi-chip extension of the software/PIM
-// bit-identity invariant.
+// engines as the zero-hardware baseline), splits a ReadBatch uniformly into
+// contiguous per-shard ranges (the paper's chips are identical), fans the
+// ranges out, and stitches the per-shard BatchResults back in read order.
+// EngineStats merge associatively at the stitch, so the merged counters
+// equal an unsharded run by construction — asserted in
+// tests/test_engine.cpp as "sharded(N) == unsharded", the multi-chip
+// extension of the software/PIM bit-identity invariant.
 //
 // Because it sits behind AlignmentEngine, every front-end programmed against
 // the seam (parallel scheduler, SamWriter::write_batch, examples, benches)
@@ -48,91 +48,67 @@ struct ShardStats {
   EngineStats stats;            ///< Full per-shard engine counters.
 };
 
-struct ShardedOptions {
-  /// Run shards concurrently, one thread per shard (chips are independent
-  /// devices). false runs them sequentially — useful for deterministic
-  /// profiling of a single chip's share.
-  bool parallel = true;
-  /// After each run, reweight the shard boundaries proportionally to each
-  /// shard's measured throughput (reads / wall_ms from shard_stats()), so
-  /// the next batch equalizes expected wall time instead of read counts —
-  /// the load-balanced-sharding loop for streaming runs, where repeat-heavy
-  /// reads clustering in one shard would otherwise stall the whole fan-out
-  /// every generation. accel::rebalanced_shard_weights applies the same
-  /// reweighting to externally measured loads.
-  bool rebalance = false;
-  /// Blend factor for rebalancing: 0 keeps the old weights, 1 jumps to the
-  /// measured throughput. Intermediate values smooth out per-batch noise.
-  double rebalance_smoothing = 0.5;
-  /// Observability sink (S40). When set, every run publishes per-shard
-  /// series — "shard.<i>.reads"/"shard.<i>.hits" counters (cumulative) and
-  /// "shard.<i>.wall_ms"/"shard.<i>.reads_per_ms"/"shard.<i>.weight"
-  /// gauges (last run) — and the rebalance math consumes the published
-  /// reads/ms series from the registry instead of the internal tallies
-  /// (identical values; the registry is the data path, shard_stats() the
-  /// programmatic view). Null = zero overhead.
-  obs::MetricsRegistry* metrics = nullptr;
-};
-
 // Not final: pim::hw::PimChipFleet derives a transfer-charging engine (S43)
-// that brackets the fan-out with host->chip staging accounting.
+// that settles host->chip staging accounting after every generation.
 class ShardedEngine : public AlignmentEngine {
  public:
   /// Owning: the sharded engine keeps the backend instances alive.
+  /// `metrics` (nullable, must outlive the engine) receives the per-shard
+  /// series of every run: "shard.<i>.reads"/"shard.<i>.hits" counters
+  /// (cumulative) and "shard.<i>.wall_ms"/"shard.<i>.reads_per_ms" gauges
+  /// (last run). Null = zero overhead.
   explicit ShardedEngine(std::vector<std::unique_ptr<AlignmentEngine>> shards,
-                         ShardedOptions options = {});
+                         obs::MetricsRegistry* metrics = nullptr);
   /// Non-owning: `shards` must outlive the engine (PimChipFleet owns its
   /// chips this way). Instances must be distinct objects sharing no mutable
   /// state.
   explicit ShardedEngine(std::vector<const AlignmentEngine*> shards,
-                         ShardedOptions options = {});
+                         obs::MetricsRegistry* metrics = nullptr);
 
   std::string_view name() const override { return "sharded"; }
   /// align_range overwrites the shard_stats() breakdown, so concurrent
   /// calls on one ShardedEngine are not allowed. (The internal per-shard
   /// fan-out is still parallel.)
   bool thread_safe() const override { return false; }
+  /// The fan-out below with a sink that appends each shard's result to
+  /// `out` — shard order == read order, so the stitched result and its
+  /// associatively merged stats equal an unsharded run over the range.
   void align_range(const ReadBatch& batch, std::size_t begin, std::size_t end,
-                   BatchResult& out) const override;
+                   BatchResult& out) const final;
 
-  /// Streaming execution (S39): shards run concurrently as usual, but each
-  /// shard's completed result is forwarded to `sink` as soon as it AND every
+  /// Streaming execution (S39): shards run concurrently, and each shard's
+  /// completed result is forwarded to `sink` as soon as it AND every
   /// lower-indexed shard finish (shard order == read order), then its arena
   /// is freed — so a multi-chip fleet streams chunks out while later chips
   /// are still aligning, instead of holding all shard results until join.
   /// `chunk_size` is ignored: the shard ranges are the chunks.
   EngineStats align_batch_chunked(const ReadBatch& batch,
-                                  std::size_t chunk_size, const ChunkSink& sink,
-                                  bool best_hit_only = false) const override;
+                                  std::size_t chunk_size,
+                                  const ChunkSink& sink) const final;
 
   std::size_t num_shards() const { return shards_.size(); }
   const AlignmentEngine& shard(std::size_t i) const { return *shards_[i]; }
-  const ShardedOptions& options() const { return options_; }
 
   /// Per-chip breakdown of the last align_range/align_batch call (empty
   /// before the first run). Shards with no reads still appear, with zeroed
   /// counters.
   const std::vector<ShardStats>& shard_stats() const { return shard_stats_; }
 
-  /// Relative shard weights steering the partition (uniform initially;
-  /// normalized to sum 1). With options().rebalance they update after every
-  /// run; set_shard_weights installs externally computed weights (e.g.
-  /// accel::rebalanced_shard_weights over a fleet's measured load). Throws
-  /// if the size mismatches or any weight is not positive.
-  const std::vector<double>& shard_weights() const { return weights_; }
-  void set_shard_weights(std::vector<double> weights);
-
-  /// Weighted contiguous partition of `reads` under the current weights:
-  /// num_shards()+1 monotone boundaries with front()==0, back()==reads.
+  /// Uniform contiguous partition of `reads`: num_shards()+1 monotone
+  /// boundaries, bound s = reads*s/num_shards() rounded half up (so
+  /// front()==0, back()==reads, and shard sizes differ by at most one).
   /// Exposed for tests and front-ends that pre-route per-shard data.
   std::vector<std::size_t> partition(std::size_t reads) const;
 
-  /// Balanced contiguous partition: the half-open read range shard `s` of
-  /// `num_shards` covers within [0, reads). Exposed for tests and for
-  /// front-ends that pre-route per-shard auxiliary data.
-  static std::pair<std::size_t, std::size_t> shard_range(std::size_t reads,
-                                                         std::size_t num_shards,
-                                                         std::size_t s);
+ protected:
+  /// Called once per generation (one align_range / align_batch_chunked
+  /// call) after every shard has joined and every chunk was delivered, on
+  /// the driving thread: batch reads [begin + bounds[s], begin +
+  /// bounds[s+1]) went to shard s. Not called when the fan-out throws.
+  virtual void on_generation(const ReadBatch& /*batch*/,
+                             std::size_t /*begin*/,
+                             const std::vector<std::size_t>& /*bounds*/)
+      const {}
 
  private:
   /// Per-shard metric handles (empty when no registry is installed).
@@ -141,24 +117,19 @@ class ShardedEngine : public AlignmentEngine {
     obs::Counter hits;
     obs::Gauge wall_ms;
     obs::Gauge reads_per_ms;
-    obs::Gauge weight;
   };
 
-  /// Returns the in-order forward/join wait in ms (time the stitching
-  /// thread spent blocked on unfinished predecessor shards).
-  double run_shards(const ReadBatch& batch, std::size_t begin,
-                    std::vector<std::size_t> const& bounds,
-                    std::vector<BatchResult>& chunks,
-                    const ChunkSink* sink) const;
-  void init_metrics();
-  void update_weights() const;
-  void publish_weights() const;
+  /// The one fan-out: aligns reads [begin, end) across the shards and
+  /// forwards each shard's result to `sink` in shard order. Returns the
+  /// merged stats of the forwarded chunks plus the in-order forwarding
+  /// stall (time blocked on unfinished predecessor shards).
+  EngineStats fan_out(const ReadBatch& batch, std::size_t begin,
+                      std::size_t end, const ChunkSink& sink) const;
+  void init_metrics(obs::MetricsRegistry* metrics);
 
   std::vector<std::unique_ptr<AlignmentEngine>> owned_;
   std::vector<const AlignmentEngine*> shards_;
-  ShardedOptions options_;
   mutable std::vector<ShardStats> shard_stats_;
-  mutable std::vector<double> weights_;
   std::vector<ShardSeries> series_;
 };
 

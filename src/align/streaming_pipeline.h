@@ -10,8 +10,8 @@
 //
 //   producer thread --(<=2 ReadBatch generations)--> consumer
 //   FastqStreamReader -> ReadBatchBuilder            align_batch_parallel_chunked
-//   (arena recycled per generation via                 / engine.align_batch_chunked
-//    ReadBatchBuilder::reset)                        -> ChunkSink (in read order)
+//   (arena recycled per generation via               -> ChunkSink (in read order)
+//    ReadBatchBuilder::reset)
 //
 // The producer packs generation g+1 while the engine aligns generation g
 // (double buffering: at most two batch arenas exist, recycled through a
@@ -50,8 +50,6 @@ struct StreamingOptions {
   /// Scheduler knobs for thread-safe engines (threads, chunk size); the
   /// chunk size also feeds serial engines' align_batch_chunked.
   ParallelOptions parallel;
-  /// Keep only the best hit per read (see AlignerOptions::best_hit_only).
-  bool best_hit_only = false;
   /// Observability sink (S40). When set, run() publishes the stage-resolved
   /// series the paper's Fig. 8-10 accounting needs live instead of post
   /// hoc: "stream.reads"/"stream.batches"/"stream.chunks" counters,
@@ -84,10 +82,9 @@ struct StreamingStats {
 
 class StreamingPipeline {
  public:
-  /// `engine` must outlive the pipeline. Thread-safe engines align each
-  /// generation through the in-order chunked parallel scheduler; serial
-  /// engines (PimEngine, ShardedEngine) stream through their virtual
-  /// align_batch_chunked.
+  /// `engine` must outlive the pipeline. Every generation goes through the
+  /// in-order chunked parallel scheduler, which hands serial engines
+  /// (PimEngine, ShardedEngine) to their virtual align_batch_chunked.
   explicit StreamingPipeline(const AlignmentEngine& engine,
                              StreamingOptions options = {});
 

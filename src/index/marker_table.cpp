@@ -37,13 +37,7 @@ MarkerTable MarkerTable::from_parts(std::uint32_t bucket_width,
 std::uint64_t MarkerTable::lfm(const Bwt& bwt, genome::Base nt,
                                std::size_t id) const {
   if (id > bwt.size()) throw std::out_of_range("MarkerTable::lfm");
-  const std::size_t start = id - (id % d_);
-  std::uint64_t count_match = 0;
-  for (std::size_t pos = start; pos < id; ++pos) {
-    if (bwt.is_sentinel(pos)) continue;
-    if (bwt.symbols.at(pos) == nt) ++count_match;
-  }
-  return marker(nt, id / d_) + count_match;
+  return marker(nt, id / d_) + residual_count(bwt, nt, id, d_);
 }
 
 }  // namespace pim::index

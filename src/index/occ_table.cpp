@@ -50,13 +50,7 @@ SampledOccTable::SampledOccTable(const Bwt& bwt, std::uint32_t bucket_width)
 
 std::uint64_t SampledOccTable::count_match(const Bwt& bwt, genome::Base nt,
                                            std::size_t i) const {
-  const std::size_t start = i - (i % d_);
-  std::uint64_t matches = 0;
-  for (std::size_t pos = start; pos < i; ++pos) {
-    if (bwt.is_sentinel(pos)) continue;
-    if (bwt.symbols.at(pos) == nt) ++matches;
-  }
-  return matches;
+  return residual_count(bwt, nt, i, d_);
 }
 
 std::uint64_t SampledOccTable::occ(const Bwt& bwt, genome::Base nt,

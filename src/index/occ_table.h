@@ -29,6 +29,20 @@ namespace pim::index {
 using OccCheckpoint = std::array<std::uint32_t, genome::kNumBases>;
 static_assert(sizeof(OccCheckpoint) == genome::kNumBases * sizeof(std::uint32_t));
 
+/// The residual count of the `checkpoint + count_match` decomposition:
+/// occurrences of nt in BWT[i - i mod d, i), skipping the sentinel row. The
+/// one scan behind both SampledOccTable::count_match and MarkerTable::lfm —
+/// the software twin of the hardware XNOR_Match + DPU popcount.
+inline std::uint64_t residual_count(const Bwt& bwt, genome::Base nt,
+                                    std::size_t i, std::uint32_t d) {
+  std::uint64_t matches = 0;
+  for (std::size_t pos = i - (i % d); pos < i; ++pos) {
+    if (bwt.is_sentinel(pos)) continue;
+    if (bwt.symbols.at(pos) == nt) ++matches;
+  }
+  return matches;
+}
+
 class CountTable {
  public:
   CountTable() = default;

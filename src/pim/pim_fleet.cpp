@@ -6,38 +6,25 @@
 
 namespace pim::hw {
 
-// ShardedEngine with the S43 staging charge bracketed around every
-// generation. The partition is captured BEFORE the fan-out (rebalance may
-// move the boundaries afterwards), the charge is settled after the join —
-// on the single driving thread, so the busy_ns reads and seqlock stores
-// are race-free by the ShardedEngine thread model.
+// ShardedEngine with the S43 staging charge settled after every generation
+// — on the single driving thread, once the shards have joined, so the
+// busy_ns reads and seqlock stores are race-free by the ShardedEngine thread
+// model.
 class PimChipFleet::FleetEngine final : public align::ShardedEngine {
  public:
   FleetEngine(PimChipFleet* fleet,
               std::vector<const align::AlignmentEngine*> shards,
-              align::ShardedOptions options)
-      : align::ShardedEngine(std::move(shards), options), fleet_(fleet) {}
+              obs::MetricsRegistry* metrics)
+      : align::ShardedEngine(std::move(shards), metrics), fleet_(fleet) {}
 
   std::string_view name() const override { return "pim-fleet"; }
 
-  void align_range(const align::ReadBatch& batch, std::size_t begin,
-                   std::size_t end, align::BatchResult& out) const override {
-    const auto bounds = partition(end - begin);
-    align::ShardedEngine::align_range(batch, begin, end, out);
+ private:
+  void on_generation(const align::ReadBatch& batch, std::size_t begin,
+                     const std::vector<std::size_t>& bounds) const override {
     fleet_->charge_generation(batch, begin, bounds);
   }
 
-  align::EngineStats align_batch_chunked(
-      const align::ReadBatch& batch, std::size_t chunk_size,
-      const align::ChunkSink& sink, bool best_hit_only) const override {
-    const auto bounds = partition(batch.size());
-    align::EngineStats stats = align::ShardedEngine::align_batch_chunked(
-        batch, chunk_size, sink, best_hit_only);
-    fleet_->charge_generation(batch, 0, bounds);
-    return stats;
-  }
-
- private:
   PimChipFleet* fleet_;
 };
 
@@ -46,7 +33,7 @@ PimChipFleet::PimChipFleet(const index::FmIndex& fm,
                            std::size_t num_chips,
                            align::AlignerOptions options, ZoneLayout layout,
                            AddPlacement placement,
-                           align::ShardedOptions sharding,
+                           obs::MetricsRegistry* metrics,
                            TransferOptions transfer)
     : timing_(&timing),
       transfer_options_(std::move(transfer)),
@@ -68,7 +55,7 @@ PimChipFleet::PimChipFleet(const index::FmIndex& fm,
         transfer_options_.double_buffer));
   }
   busy_baseline_ns_.assign(num_chips, 0.0);
-  sharded_ = std::make_unique<FleetEngine>(this, std::move(shards), sharding);
+  sharded_ = std::make_unique<FleetEngine>(this, std::move(shards), metrics);
 }
 
 PimChipFleet::~PimChipFleet() = default;

@@ -12,10 +12,9 @@
 // The fleet streams (S39): engine().align_batch_chunked forwards each chip's
 // completed range to a ChunkSink as soon as it and all lower-indexed chips
 // finish, so a StreamingPipeline over the fleet emits SAM records while
-// later chips are still aligning. Passing ShardedOptions{.rebalance = true}
-// at construction reweights the per-chip boundaries between batches from
-// the measured wall-time skew (see accel::rebalanced_shard_weights for the
-// externally driven form).
+// later chips are still aligning. The chips are identical, so every
+// generation splits uniformly (ShardedEngine::partition): the per-chip
+// ranges, and with them every tally below, depend only on the batch.
 //
 // The fleet pays for its data (S43): reads no longer teleport into the
 // sub-arrays. Every generation (one align_batch / align_batch_chunked call),
@@ -109,12 +108,13 @@ class PimChipFleet {
  public:
   /// Builds `num_chips` platforms over `fm` (all chips hold the full index,
   /// as the paper's chips each hold the full reference slice mapping).
-  /// `fm` and `timing` must outlive the fleet.
+  /// `fm` and `timing` must outlive the fleet; so must `metrics` (nullable),
+  /// which receives the engine's per-chip "shard.<i>.*" series.
   PimChipFleet(const index::FmIndex& fm, const TimingEnergyModel& timing,
                std::size_t num_chips, align::AlignerOptions options = {},
                ZoneLayout layout = {},
                AddPlacement placement = AddPlacement::kMethodI,
-               align::ShardedOptions sharding = {},
+               obs::MetricsRegistry* metrics = nullptr,
                TransferOptions transfer = {});
   ~PimChipFleet();
 
@@ -187,7 +187,7 @@ class PimChipFleet {
     explicit ChipTransferState(bool double_buffer) : timeline(double_buffer) {}
   };
 
-  /// Called by FleetEngine around each generation (driver thread only).
+  /// Called by FleetEngine after each generation (driving thread only).
   void charge_generation(const align::ReadBatch& batch, std::size_t begin,
                          const std::vector<std::size_t>& bounds);
 

@@ -216,8 +216,7 @@ void DynamicBatcher::dispatch(std::vector<PendingRequest> pending,
 
   try {
     const align::EngineStats stats = align::align_batch_parallel_chunked(
-        *engine_, batch, demux.sink(), policy_.parallel,
-        policy_.best_hit_only);
+        *engine_, batch, demux.sink(), policy_.parallel);
     std::lock_guard<std::mutex> lk(stats_mu_);
     engine_stats_.merge(stats);
   } catch (...) {

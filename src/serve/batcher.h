@@ -51,8 +51,6 @@ struct BatchPolicy {
   /// size bounds demux granularity: smaller chunks resolve early requests
   /// in a batch sooner.
   align::ParallelOptions parallel;
-  /// Keep only the best hit per read (see AlignerOptions::best_hit_only).
-  bool best_hit_only = false;
 };
 
 class DynamicBatcher {

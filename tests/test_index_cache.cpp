@@ -18,13 +18,13 @@
 #include "src/index/index_io.h"
 #include "src/obs/metrics.h"
 #include "src/util/rng.h"
-#include "tests/temp_dir.h"
+#include "src/util/temp_dir.h"
 
 namespace pim::serve {
 namespace {
 
 struct Artifact {
-  std::shared_ptr<const test_util::TempDir> dir;  ///< Holds `path`.
+  std::shared_ptr<const util::TempDir> dir;  ///< Holds `path`.
   std::string id;
   std::string path;
   genome::PackedSequence reference;
@@ -34,7 +34,7 @@ struct Artifact {
 /// Builds `count` distinct references and persists each as a v2 artifact.
 std::vector<Artifact> make_artifacts(std::size_t count,
                                      std::size_t length = 20000) {
-  const auto dir = std::make_shared<const test_util::TempDir>();
+  const auto dir = std::make_shared<const util::TempDir>();
   std::vector<Artifact> artifacts;
   for (std::size_t i = 0; i < count; ++i) {
     Artifact a;

@@ -14,7 +14,7 @@
 #include "src/genome/synthetic_genome.h"
 #include "src/index/mapped_index.h"
 #include "src/util/rng.h"
-#include "tests/temp_dir.h"
+#include "src/util/temp_dir.h"
 
 namespace pim::index {
 namespace {
@@ -105,7 +105,7 @@ TEST(IndexIo, SizeMismatchRejectedOnSave) {
 
 TEST(IndexIo, FileRoundTrip) {
   Fixture f;
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("test_index.bin");
   save_index_file(path, f.fm, f.reference);
   const LoadedIndex loaded = load_index_file(path);
@@ -156,7 +156,7 @@ TEST(IndexIo, NonContiguousChromosomesRejectedOnSave) {
 
 TEST(IndexIo, InspectReportsSections) {
   Fixture f;
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("test_inspect.bin");
   save_index_file(path, f.fm, f.reference, {{"only", 0, 5000}});
   const auto info = inspect_index_file(path);
@@ -196,7 +196,7 @@ void expect_both_loaders_reject(const std::string& bytes,
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << tag << ": stream error was: " << e.what();
   }
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("corrupt_" + tag + ".bin");
   {
     std::ofstream out(path, std::ios::binary);
@@ -241,7 +241,7 @@ TEST(IndexIoHardening, FlippedPayloadByteNamesSection) {
   Fixture f;
   std::string bytes = v2_bytes(f);
   const auto info = [&] {
-    const test_util::TempDir dir;
+    const util::TempDir dir;
     const std::string path = dir.file("hardening_layout.bin");
     std::ofstream out(path, std::ios::binary);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -315,7 +315,7 @@ TEST(IndexIoHardening, HeaderChecksumCoversHeaderFields) {
 
 TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
   Fixture f(4);
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("identity.bin");
   save_index_file(path, f.fm, f.reference, {{"chr", 0, 5000}});
   const LoadedIndex streamed = load_index_file(path);
@@ -345,7 +345,7 @@ TEST(IndexIoIdentity, BuiltStreamAndMappedAgree) {
 
 TEST(IndexIoIdentity, MappedIndexMoveKeepsBorrowsValid) {
   Fixture f;
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("identity_move.bin");
   save_index_file(path, f.fm, f.reference);
   MappedIndex first = MappedIndex::open(path);
@@ -371,7 +371,7 @@ TEST(IndexIoIdentity, SaveOverLiveMappingKeepsOldMappingIntact) {
   const PackedSequence new_ref = genome::generate_reference(spec);
   const FmIndex new_fm = FmIndex::build(new_ref, {.bucket_width = 128});
 
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("live.index");
   save_index_file(path, old_fm, old_ref);
   const MappedIndex live = MappedIndex::open(path);
@@ -421,7 +421,7 @@ TEST(IndexIoIdentity, SaveOverLiveMappingKeepsOldMappingIntact) {
 
 TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
   Fixture f;
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string path = dir.file("v1_fallback.bin");
   {
     std::ofstream out(path, std::ios::binary);
@@ -435,7 +435,7 @@ TEST(IndexIoIdentity, MappedOpenOfV1FallsBackToStream) {
 
 TEST(IndexIoIdentity, LoadMetricsDistinguishRebuildFromMap) {
   Fixture f;
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   const std::string v1_path = dir.file("metrics_v1.bin");
   const std::string v2_path = dir.file("metrics_v2.bin");
   {

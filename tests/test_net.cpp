@@ -42,7 +42,7 @@
 #include "src/serve/index_cache.h"
 #include "src/serve/service.h"
 #include "src/util/rng.h"
-#include "tests/temp_dir.h"
+#include "src/util/temp_dir.h"
 
 namespace pim::net {
 namespace {
@@ -513,7 +513,7 @@ TEST(AlignServer, RoutesMultiReferenceRequestsOverTheWire) {
     index::FmIndex fm;
     std::vector<std::vector<genome::Base>> reads;
   };
-  const test_util::TempDir dir;
+  const util::TempDir dir;
   std::vector<Ref> refs;
   align::AlignerOptions aligner;
   aligner.inexact.max_diffs = 2;

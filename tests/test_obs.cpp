@@ -693,10 +693,7 @@ TEST(ObsConcurrency, ShardedSeriesMatchShardStats) {
     shards.push_back(
         std::make_unique<align::SoftwareEngine>(f.fm, f.options));
   }
-  align::ShardedOptions sharded_opts;
-  sharded_opts.rebalance = true;
-  sharded_opts.metrics = &registry;
-  const align::ShardedEngine engine(std::move(shards), sharded_opts);
+  const align::ShardedEngine engine(std::move(shards), &registry);
 
   std::istringstream in(f.fastq_text);
   const auto records = genome::read_fastq(in);
@@ -705,15 +702,13 @@ TEST(ObsConcurrency, ShardedSeriesMatchShardStats) {
   engine.align_batch(batch, out);
 
   // The published series and the programmatic shard_stats() are the same
-  // measurement; the rebalanced weights consumed the registry values.
+  // measurement.
   const auto snap = registry.scrape();
   for (const auto& s : engine.shard_stats()) {
     const std::string prefix = "shard." + std::to_string(s.shard) + ".";
     EXPECT_EQ(snap.counter_value(prefix + "reads"), s.reads);
     EXPECT_EQ(snap.counter_value(prefix + "hits"), s.hits);
     EXPECT_DOUBLE_EQ(snap.gauge_value(prefix + "wall_ms"), s.wall_ms);
-    EXPECT_DOUBLE_EQ(snap.gauge_value(prefix + "weight"),
-                     engine.shard_weights()[s.shard]);
   }
 }
 

@@ -6,8 +6,8 @@
 #include <sstream>
 
 #include "src/genome/synthetic_genome.h"
+#include "src/util/temp_dir.h"
 #include "tests/engine_test_util.h"
-#include "tests/temp_dir.h"
 
 namespace pim::align {
 namespace {
@@ -351,7 +351,7 @@ TEST(SamWriter, PairedGoldenFile) {
   want << golden.rdbuf();
   std::string dump_path = "(not dumped)";
   if (out.str() != want.str()) {
-    dump_path = test_util::make_temp_dir() + "/paired_end_actual.sam";
+    dump_path = util::make_temp_dir() + "/paired_end_actual.sam";
     std::ofstream dump(dump_path);
     dump << out.str();
   }

@@ -37,7 +37,7 @@
 #include "src/obs/request_trace.h"
 #include "src/serve/index_cache.h"
 #include "src/util/rng.h"
-#include "tests/temp_dir.h"
+#include "src/util/temp_dir.h"
 
 namespace pim::serve {
 namespace {
@@ -1220,7 +1220,7 @@ struct MultiRefFixture {
     index::FmIndex fm;
     std::vector<std::vector<genome::Base>> reads;
   };
-  test_util::TempDir dir;  ///< Holds every ref's artifact.
+  util::TempDir dir;  ///< Holds every ref's artifact.
   std::vector<Ref> refs;
   align::AlignerOptions aligner;
 

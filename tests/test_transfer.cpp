@@ -229,7 +229,7 @@ TEST(FleetTransfer, SingleBufferNeverOverlaps) {
   FleetFixture f;
   TransferOptions opts;
   opts.double_buffer = false;
-  PimChipFleet fleet(f.fm, f.timing, 2, {}, {}, AddPlacement::kMethodI, {},
+  PimChipFleet fleet(f.fm, f.timing, 2, {}, {}, AddPlacement::kMethodI, nullptr,
                      opts);
   align::BatchResult out;
   fleet.engine().align_batch(f.batch, out);
@@ -247,7 +247,7 @@ TEST(FleetTransfer, DisabledFleetChargesNothing) {
   FleetFixture f;
   TransferOptions opts;
   opts.enabled = false;
-  PimChipFleet fleet(f.fm, f.timing, 2, {}, {}, AddPlacement::kMethodI, {},
+  PimChipFleet fleet(f.fm, f.timing, 2, {}, {}, AddPlacement::kMethodI, nullptr,
                      opts);
   align::BatchResult out;
   fleet.engine().align_batch(f.batch, out);
